@@ -2,11 +2,12 @@
 
 An arrangement is a list of hyperplanes x_p - x_q = c.  A region is a
 feasible total choice of side (strictly below or strictly above) for every
-hyperplane; feasibility of the strict system is decided exactly with a
-difference-constraint graph over scaled integers, and a rational witness
-point falls out of the shortest-path potentials.  Regions are enumerated by
-breadth-first search from the base chamber, flipping one sign at a time,
-and labelled three independent ways.
+hyperplane.  Feasibility of the strict system is decided exactly on a
+difference-bound matrix (DBM) over scaled integers, closed by
+Floyd-Warshall; an integer witness point falls out of the closure.  Regions
+are enumerated by breadth-first search from the base chamber: one closure
+per region tells which hyperplanes are walls, and crossing a wall gives a
+neighbor.  Regions are labelled three independent ways.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from math import inf
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import BudgetError, Label, Permutation
 
@@ -136,6 +138,26 @@ class Region:
             if s == ABOVE and not diff > hp.c:
                 raise ValueError(f"witness violates {hp.equation()} side 'above'")
 
+    @classmethod
+    def _certified(
+        cls, spec: ArrangementSpec, signs: tuple[int, ...], scaled: Sequence[int], scale: int
+    ) -> "Region":
+        """Region with witness scaled/scale, checked in integers only.
+
+        Every strict inequality is tested on the integer point `scaled`, so
+        the Fraction re-check of `__post_init__` is skipped.
+        """
+        for s, hp in zip(signs, spec.hyperplanes):
+            diff = scaled[hp.p - 1] - scaled[hp.q - 1]
+            bound = hp.c * scale
+            if not (diff > bound if s == ABOVE else diff < bound):
+                raise ValueError(f"witness violates {hp.equation()}")
+        region = object.__new__(cls)
+        object.__setattr__(region, "spec", spec)
+        object.__setattr__(region, "signs", signs)
+        object.__setattr__(region, "witness", tuple(Fraction(x, scale) for x in scaled))
+        return region
+
     def sign_string(self) -> str:
         return "".join("1" if s == ABOVE else "0" for s in self.signs)
 
@@ -163,49 +185,45 @@ class Diagram:
     arcs: tuple[tuple[int, int, int], ...]
 
 
-def _scaled_edges(spec: ArrangementSpec, assigned: list[tuple[int, int]], scale: int):
-    """Difference-constraint edges for the strict system, scaled to integers.
+def _edge(hp: Hyperplane, side: int, scale: int) -> tuple[int, int, int]:
+    """The strict side of `hp` as a scaled DBM edge (u, v, w).
 
-    Each strict constraint x_u - x_v < b becomes the slack constraint
-    X_u - X_v <= b*scale - 1 on X = scale*x, i.e. an edge v -> u of that
-    weight.  With scale > number of constraints, the scaled system has a
-    negative cycle exactly when the strict system is infeasible.
+    x_p - x_q < c becomes X_p - X_q <= c*scale - 1 on X = scale*x, an edge
+    q -> p; x_p - x_q > c becomes X_q - X_p <= -c*scale - 1, an edge p -> q.
+    An edge u -> v of weight w always reads X_v - X_u <= w.
     """
-    edges = []
-    for pos, side in assigned:
-        hp = spec.hyperplanes[pos]
-        if side == BELOW:
-            edges.append((hp.q - 1, hp.p - 1, hp.c * scale - 1))
-        else:
-            edges.append((hp.p - 1, hp.q - 1, -hp.c * scale - 1))
-    return edges
+    if side == BELOW:
+        return hp.q - 1, hp.p - 1, hp.c * scale - 1
+    return hp.p - 1, hp.q - 1, -hp.c * scale - 1
 
 
-def _solve(spec: ArrangementSpec, assigned: list[tuple[int, int]]) -> Optional[list[Fraction]]:
-    """Shortest-path relaxation over the constraint graph; witness or None.
+def _closure(n: int, edges: Iterable[tuple[int, int, int]]) -> Optional[list[list]]:
+    """Closed DBM of the `_edge`s (scale n + 1) of a sign assignment, or None if infeasible.
 
-    All potentials start at zero (equivalent to a virtual source), so n
-    relaxation rounds suffice; one more scan that still relaxes means a
-    negative cycle, hence infeasibility.
+    Only the tightest bound per ordered pair is kept, so a simple cycle has
+    at most n edges; with scale = n + 1 a cycle of strict constraints is
+    contradictory exactly when its scaled weight is negative (CLRS 24.4).
+    Floyd-Warshall leaves in D[u][v] the tightest implied bound on
+    X_v - X_u; a negative diagonal entry means infeasible.
     """
-    n = spec.n
-    scale = len(assigned) + 1
-    edges = _scaled_edges(spec, assigned, scale)
-    dist = [0] * n
-    for _ in range(n):
-        changed = False
-        for u, v, wgt in edges:
-            alt = dist[u] + wgt
-            if alt < dist[v]:
-                dist[v] = alt
-                changed = True
-        if not changed:
-            break
-    else:
-        for u, v, wgt in edges:
-            if dist[u] + wgt < dist[v]:
-                return None
-    return [Fraction(d, scale) for d in dist]
+    dbm = [[inf] * n for _ in range(n)]
+    for i in range(n):
+        dbm[i][i] = 0
+    for u, v, w in edges:
+        if w < dbm[u][v]:
+            dbm[u][v] = w
+    nodes = range(n)
+    for m in nodes:
+        row_m = dbm[m]
+        for row in dbm:
+            via = row[m]
+            for j in nodes:
+                alt = via + row_m[j]
+                if alt < row[j]:
+                    row[j] = alt
+    if any(dbm[i][i] < 0 for i in nodes):
+        return None
+    return dbm
 
 
 def _normalize_assignment(spec: ArrangementSpec, signs: SignAssignment) -> list[tuple[int, int]]:
@@ -225,7 +243,10 @@ def _normalize_assignment(spec: ArrangementSpec, signs: SignAssignment) -> list[
 
 def is_feasible(spec: ArrangementSpec, signs: SignAssignment) -> bool:
     """Does the (partial or total) strict sign assignment cut out a non-empty set?"""
-    return _solve(spec, _normalize_assignment(spec, signs)) is not None
+    scale = spec.n + 1
+    assigned = _normalize_assignment(spec, signs)
+    edges = (_edge(spec.hyperplanes[pos], side, scale) for pos, side in assigned)
+    return _closure(spec.n, edges) is not None
 
 
 def base_region(spec: ArrangementSpec) -> Region:
@@ -249,40 +270,71 @@ def _increment_index(hp: Hyperplane) -> int:
 def enumerate_regions(
     spec: ArrangementSpec, max_n: int = DEFAULT_REGION_MAX_N
 ) -> list[tuple[Region, Label]]:
-    """All chambers with their labels, by sign-flip search from the base chamber.
+    """All chambers with their labels, by wall-crossing search from the base chamber.
 
-    Neighbors differ in exactly one sign; a flip survives only if the new
-    sign vector is feasible.  Crossing a hyperplane away from the base side
-    adds the hyperplane's increment to the label, crossing back subtracts
-    it.  Output is sorted by sign vector, so the search order never shows.
+    Each dequeued sign vector gets one DBM closure.  Its witness, the
+    virtual-source potential X_i = min(0, min_j D[j][i]), is checked in
+    integers against every hyperplane before the region is accepted.  Per
+    pair (p, q) only the one or two hyperplanes bounding the interval of
+    x_p - x_q can be walls; a bound of weight w on edge u -> v is a wall
+    exactly when no path through a third coordinate implies it, i.e.
+    D[u][m] + D[m][v] > w for every m other than u and v.  Crossing a wall
+    away from the base side adds the hyperplane's increment to the label,
+    crossing back subtracts it.  Output is sorted by sign vector, so the
+    search order never shows.
     """
     if spec.n > max_n:
         raise BudgetError(f"region enumeration refused for n={spec.n} > {max_n}")
-    base = base_region(spec)
-    base_signs = base.signs
+    n = spec.n
+    scale = n + 1
+    base_signs = base_region(spec).signs
     hyperplanes = spec.hyperplanes
-    n_planes = len(hyperplanes)
-    labels: dict[tuple[int, ...], tuple[int, ...]] = {base_signs: (1,) * spec.n}
-    regions: dict[tuple[int, ...], Region] = {base_signs: base}
-    dead: set[tuple[int, ...]] = set()
+    edges = [(_edge(hp, BELOW, scale), _edge(hp, ABOVE, scale)) for hp in hyperplanes]
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for pos, hp in enumerate(hyperplanes):
+        by_pair.setdefault((hp.p, hp.q), []).append((hp.c, pos))
+
+    def wall(pos: int, side: int):
+        u, v, w = edges[pos][side]
+        return pos, u, v, w, tuple(m for m in range(n) if m not in (u, v))
+
+    # Per pair: its hyperplanes in offset order and, indexed by how many of
+    # them the region is above, the at most two that bound x_p - x_q.
+    pairs = []
+    for planes in by_pair.values():
+        planes = [pos for _, pos in sorted(planes)]
+        bounds = (
+            [(wall(planes[0], BELOW),)]
+            + [(wall(planes[t - 1], ABOVE), wall(planes[t], BELOW)) for t in range(1, len(planes))]
+            + [(wall(planes[-1], ABOVE),)]
+        )
+        pairs.append((planes, bounds))
+    increment = [_increment_index(hp) - 1 for hp in hyperplanes]
+
+    labels: dict[tuple[int, ...], tuple[int, ...]] = {base_signs: (1,) * n}
+    regions: dict[tuple[int, ...], Region] = {}
     queue = deque([base_signs])
     while queue:
         signs = queue.popleft()
+        dbm = _closure(n, map(tuple.__getitem__, edges, signs))
+        if dbm is None:
+            raise ValueError(f"sign vector {signs} is infeasible")
+        regions[signs] = Region._certified(spec, signs, [min(col) for col in zip(*dbm)], scale)
         label = labels[signs]
-        for pos in range(n_planes):
-            flipped = signs[:pos] + (1 - signs[pos],) + signs[pos + 1 :]
-            if flipped in labels or flipped in dead:
-                continue
-            witness = _solve(spec, list(enumerate(flipped)))
-            if witness is None:
-                dead.add(flipped)
-                continue
-            idx = _increment_index(hyperplanes[pos]) - 1
-            delta = 1 if signs[pos] == base_signs[pos] else -1
-            new_label = label[:idx] + (label[idx] + delta,) + label[idx + 1 :]
-            labels[flipped] = new_label
-            regions[flipped] = Region(spec, flipped, tuple(witness))
-            queue.append(flipped)
+        for planes, bounds in pairs:
+            for pos, u, v, w, others in bounds[sum(map(signs.__getitem__, planes))]:
+                row_u = dbm[u]
+                for m in others:
+                    if row_u[m] + dbm[m][v] <= w:
+                        break
+                else:
+                    flipped = signs[:pos] + (1 - signs[pos],) + signs[pos + 1 :]
+                    if flipped in labels:
+                        continue
+                    idx = increment[pos]
+                    delta = 1 if signs[pos] == base_signs[pos] else -1
+                    labels[flipped] = label[:idx] + (label[idx] + delta,) + label[idx + 1 :]
+                    queue.append(flipped)
     return [(regions[s], Label(labels[s])) for s in sorted(regions)]
 
 

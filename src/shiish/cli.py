@@ -151,6 +151,8 @@ def cmd_graph(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        if args.n_max < 2:
+            raise ValueError(f"--n-max={args.n_max} must be >= 2")
         cells = []
         for n in range(2, args.n_max + 1):
             for k in range(2, n + 1):
@@ -184,6 +186,9 @@ def cmd_count(args) -> int:
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         _emit(_dump_json(sweep), args.out)
         return EXIT_OK

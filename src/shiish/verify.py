@@ -1,4 +1,4 @@
-"""Cross-validation harness:五 characterizations of one label set, compared.
+"""Cross-validation harness: five characterizations of one label set, compared.
 
 For each (n, k) the region labels, the burn-success words, the
 subset-definition words, the park-the-tail-plus-centre words and the
@@ -220,8 +220,11 @@ def count_sweep(n_max: int, regions_max_n: int = 5) -> dict:
 
     Tail-parker counts come from a single brute-force pass over [n]^n and
     are matched against the closed form; region counts are enumerated only
-    up to `regions_max_n` (full enumeration beyond n = 5 takes minutes).
+    up to `regions_max_n` (at n = 6 the closure search takes about two
+    seconds per k, so the default stops at n = 5).
     """
+    if n_max < 2:
+        raise ValueError(f"n_max={n_max} must be >= 2")
     if n_max > 6:
         raise BudgetError(f"count sweep refused for n_max={n_max} > 6")
     cells = []

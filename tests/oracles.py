@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from shiish import Permutation, Word
+from shiish.arrangement import BELOW
 from shiish.parking import sigma_conditions_hold
 
 
@@ -70,3 +71,33 @@ def sigma_exists_bruteforce(a: Word, k: int) -> bool:
         if sigma_conditions_hold(a, k, Permutation(images)):
             return True
     return False
+
+
+def feasible_by_bellman_ford(spec, assigned) -> bool:
+    """Is the strict system of (hyperplane index, side) pairs feasible?
+
+    Bellman-Ford over one scaled edge per constraint, with no merging of
+    parallel bounds: x_u - x_v < b becomes X_u - X_v <= b*scale - 1 on
+    X = scale*x, and scale exceeds the number of constraints, so the
+    scaled system has a negative cycle exactly when the strict one is
+    infeasible.  All potentials start at zero (a virtual source).
+    """
+    assigned = list(assigned)
+    scale = len(assigned) + 1
+    edges = []
+    for pos, side in assigned:
+        hp = spec.hyperplanes[pos]
+        if side == BELOW:
+            edges.append((hp.q - 1, hp.p - 1, hp.c * scale - 1))
+        else:
+            edges.append((hp.p - 1, hp.q - 1, -hp.c * scale - 1))
+    dist = [0] * spec.n
+    for _ in range(spec.n):
+        changed = False
+        for u, v, wgt in edges:
+            if dist[u] + wgt < dist[v]:
+                dist[v] = dist[u] + wgt
+                changed = True
+        if not changed:
+            return True
+    return all(dist[u] + wgt >= dist[v] for u, v, wgt in edges)

@@ -1,9 +1,11 @@
 """Hyperplane lists, feasibility, region enumeration, and the three labellings."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import feasible_by_bellman_ford
 
 from shiish import (
     BudgetError,
@@ -131,6 +133,37 @@ def test_region_requires_valid_witness():
         Region(spec, base.signs, (Fraction(0), Fraction(0), Fraction(0)))
 
 
+def test_certified_region_rejects_corrupt_integer_witness():
+    spec = build_arrangement(4, 3)
+    scale = spec.n + 1
+    for region, _ in enumerate_regions(spec):
+        scaled = [int(x * scale) for x in region.witness]
+        assert Region._certified(spec, region.signs, scaled, scale).witness == region.witness
+        with pytest.raises(ValueError):
+            Region._certified(spec, region.signs, [0] * spec.n, scale)
+        # swapping the highest and lowest coordinates reverses their order
+        top = max(range(spec.n), key=scaled.__getitem__)
+        bottom = min(range(spec.n), key=scaled.__getitem__)
+        scaled[top], scaled[bottom] = scaled[bottom], scaled[top]
+        with pytest.raises(ValueError):
+            Region._certified(spec, region.signs, scaled, scale)
+
+
+def test_is_feasible_matches_bellman_ford_oracle():
+    rng = random.Random(20261017)
+    verdicts = []
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        spec = build_arrangement(n, rng.randint(2, n))
+        positions = range(len(spec.hyperplanes))
+        chosen = rng.sample(positions, rng.randint(0, len(spec.hyperplanes)))
+        partial = {pos: rng.choice((BELOW, ABOVE)) for pos in chosen}
+        verdict = is_feasible(spec, partial)
+        assert verdict == feasible_by_bellman_ford(spec, partial.items()), (n, spec.k, partial)
+        verdicts.append(verdict)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
 # -------------------------------------------------------------- base region
 
 def test_base_region_description_and_label():
@@ -194,6 +227,20 @@ def test_table_families_and_footnote_label():
     ish_family = {"2311", "2411", "2412", "2413", "2414"}
     assert ish_family <= _label_strings(build_arrangement(4, 4))
     assert "2313" in _label_strings(build_arrangement(4, 3))
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(2, 5) for k in range(2, n + 1)] + [(5, 3)]
+)
+def test_walls_match_bellman_ford_flips(n, k):
+    # the neighbors the search found are exactly the feasible single flips
+    spec = build_arrangement(n, k)
+    found = {region.signs for region, _ in enumerate_regions(spec)}
+    for signs in found:
+        assert feasible_by_bellman_ford(spec, enumerate(signs))
+        for pos in range(len(signs)):
+            flipped = signs[:pos] + (1 - signs[pos],) + signs[pos + 1 :]
+            assert feasible_by_bellman_ford(spec, enumerate(flipped)) == (flipped in found)
 
 
 def test_labels_are_k_partial_words():

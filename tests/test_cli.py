@@ -115,6 +115,21 @@ def test_count_table(capsys):
     assert len(lines) == 1 + 1 + 2 + 3  # header + cells for n=2,3,4
 
 
+def test_verify_rejects_n_max_below_2(capsys):
+    for n_max in ("1", "0"):
+        code, out, err = run(capsys, "verify", "--n-max", n_max)
+        assert code == 1
+        assert "overall" not in out
+        assert "--n-max" in err
+
+
+def test_count_rejects_n_max_below_2(capsys):
+    code, out, err = run(capsys, "count", "--n-max", "1")
+    assert code == 1
+    assert out == ""
+    assert "n_max=1" in err
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

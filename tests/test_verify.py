@@ -95,3 +95,9 @@ def test_count_sweep_budget_and_region_cap():
     cells4 = [c for c in sweep["cells"] if c["n"] == 4]
     assert all(c["regions"] is None for c in cells4)
     assert sweep["pass"]
+
+
+def test_count_sweep_rejects_empty_range():
+    for n_max in (1, 0):
+        with pytest.raises(ValueError):
+            count_sweep(n_max)
