@@ -18,10 +18,7 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import BudgetError, Label, Permutation
-
-#: Default ceiling on n for full region enumeration ((n+1)**(n-1) chambers).
-DEFAULT_REGION_MAX_N = 6
+from .core import Label, Permutation, check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
@@ -90,10 +87,7 @@ def build_arrangement(n: int, k: int) -> ArrangementSpec:
     Hyperplanes: x_i = x_j for all i < j; x_1 = x_j + c for 1 <= c < min(j, k);
     x_i = x_j + 1 for k <= i < j.  Sorted by (p, q, c).
     """
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    check_nk(n, k)
     planes = set()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -267,9 +261,7 @@ def _increment_index(hp: Hyperplane) -> int:
     return hp.p if hp.c == 0 else hp.q
 
 
-def enumerate_regions(
-    spec: ArrangementSpec, max_n: int = DEFAULT_REGION_MAX_N
-) -> list[tuple[Region, Label]]:
+def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
     """All chambers with their labels, by wall-crossing search from the base chamber.
 
     Each dequeued sign vector gets one DBM closure.  Its witness, the
@@ -281,10 +273,9 @@ def enumerate_regions(
     D[u][m] + D[m][v] > w for every m other than u and v.  Crossing a wall
     away from the base side adds the hyperplane's increment to the label,
     crossing back subtracts it.  Output is sorted by sign vector, so the
-    search order never shows.
+    search order never shows.  Refused above the size budget.
     """
-    if spec.n > max_n:
-        raise BudgetError(f"region enumeration refused for n={spec.n} > {max_n}")
+    check_budget(spec.n, "region enumeration")
     n = spec.n
     scale = n + 1
     base_signs = base_region(spec).signs

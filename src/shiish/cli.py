@@ -3,23 +3,22 @@
 Exit codes are a stable contract: 0 success, 1 usage error, 2 budget
 refusal, 3 verification failure.  Identical invocations write byte-identical
 files; nothing time- or host-dependent goes into an output.
+
+`regions`, `verify` and `count` sweep exponential spaces and refuse, before
+doing any work, an n above the size budget: the environment variable
+SHIISH_MAX_N, default 6.  `check`, `burn` and `graph` are polynomial and
+have no budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
-from .arrangement import (
-    DEFAULT_REGION_MAX_N,
-    build_arrangement,
-    enumerate_regions,
-    region_record,
-)
-from .core import BudgetError, Word
+from .arrangement import build_arrangement, enumerate_regions, region_record
+from .core import BudgetError, Word, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
 from .verify import count_sweep, cross_validate, reproduce_tables
@@ -29,8 +28,6 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY_FAILED = 3
 
-ENV_MAX_N = "SHIISH_MAX_N"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems with exit code 1."""
@@ -38,16 +35,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _region_budget() -> int:
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        return DEFAULT_REGION_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_N}={raw!r} is not an integer")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -66,29 +53,13 @@ def _parse_ks(raw: str, n: int) -> list[int]:
     if raw == "all":
         return list(range(2, n + 1))
     k = int(raw)
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+    check_nk(n, k)
     return [k]
 
 
 def cmd_regions(args) -> int:
-    try:
-        budget = _region_budget()
-        if args.n > budget:
-            print(
-                f"refused: n={args.n} exceeds the region budget {budget} "
-                f"(set {ENV_MAX_N} to override)",
-                file=sys.stderr,
-            )
-            return EXIT_BUDGET
-        spec = build_arrangement(args.n, args.k)
-        pairs = enumerate_regions(spec, max_n=max(budget, args.n))
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = build_arrangement(args.n, args.k)
+    pairs = enumerate_regions(spec)
     if args.format == "json":
         records = [region_record(spec, region, label) for region, label in pairs]
         _emit(_dump_json(records), args.out)
@@ -107,64 +78,45 @@ def cmd_regions(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        word = Word.parse(args.word)
-        ks = _parse_ks(args.k, word.n)
-        report = classification_report(word, ks)
-        if args.trace:
-            report["burn"] = {
-                str(k): dfs_burn(build_rooted(word.n, k), word).to_json() for k in ks
-            }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    word = Word.parse(args.word)
+    ks = _parse_ks(args.k, word.n)
+    report = classification_report(word, ks)
+    if args.trace:
+        report["burn"] = {
+            str(k): dfs_burn(build_rooted(word.n, k), word).to_json() for k in ks
+        }
     _emit(_dump_json(report), args.out)
     return EXIT_OK
 
 
 def cmd_burn(args) -> int:
-    try:
-        word = Word.parse(args.word)
-        ks = _parse_ks(args.k, word.n)
-        payload = {
-            str(k): dfs_burn(build_rooted(word.n, k), word).to_json() for k in ks
-        }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    word = Word.parse(args.word)
+    ks = _parse_ks(args.k, word.n)
+    payload = {str(k): dfs_burn(build_rooted(word.n, k), word).to_json() for k in ks}
     _emit(_dump_json(payload), args.out)
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    try:
-        if args.rooted:
-            text = rooted_to_dot(build_rooted(args.n, args.k))
-        else:
-            text = graph_to_dot(build_gkn(args.n, args.k))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.rooted:
+        text = rooted_to_dot(build_rooted(args.n, args.k))
+    else:
+        text = graph_to_dot(build_gkn(args.n, args.k))
     _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.n_max < 2:
-            raise ValueError(f"--n-max={args.n_max} must be >= 2")
-        cells = []
-        for n in range(2, args.n_max + 1):
-            for k in range(2, n + 1):
-                cells.append(cross_validate(n, k, workers=args.workers).to_json())
-        tables = reproduce_tables()
-        counts = count_sweep(min(args.n_max, 6), regions_max_n=min(args.n_max, 5))
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.n_max < 2:
+        raise ValueError(f"--n-max={args.n_max} must be >= 2")
+    check_budget(args.n_max, "verification")
+    tables = reproduce_tables()
+    cells = [
+        cross_validate(n, k).to_json()
+        for n in range(2, args.n_max + 1)
+        for k in range(2, n + 1)
+    ]
+    counts = count_sweep(args.n_max)
     passed = all(c["pass"] for c in cells) and tables["pass"] and counts["pass"]
     merged = {"cells": cells, "tables": tables, "counts": counts, "pass": passed}
     if args.json:
@@ -181,14 +133,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        sweep = count_sweep(args.n_max, regions_max_n=min(args.n_max, 5))
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sweep = count_sweep(args.n_max)
     if args.format == "json":
         _emit(_dump_json(sweep), args.out)
         return EXIT_OK
@@ -238,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-validate all characterizations")
     p_verify.add_argument("--n-max", type=int, default=4)
     p_verify.add_argument("--json", default=None, help="write the merged JSON report here")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers", type=int, default=1, help="accepted and ignored: sweeps run in one process"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_count = sub.add_parser("count", help="region and tail-parker count table")
@@ -256,7 +203,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

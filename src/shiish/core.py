@@ -8,15 +8,53 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
-#: Largest n for which exhaustive word streams run by default (n**n words).
-DEFAULT_WORD_CAP = 7
+#: Environment variable holding the size budget: the largest n swept exhaustively.
+ENV_MAX_N = "SHIISH_MAX_N"
+DEFAULT_MAX_N = 6
 
 
 class BudgetError(ValueError):
-    """Raised when an operation would exceed a configured size cap."""
+    """Raised when an operation would exceed the size budget."""
+
+
+def size_budget() -> int:
+    """The largest n for which exponential sweeps run: SHIISH_MAX_N, default 6.
+
+    Regions, [n]^n word streams and the cross-validation run for n up to the
+    budget; the two costlier parts, the 2**n subset sweep and the region
+    column of the count table, run only for n below it.
+    """
+    raw = os.environ.get(ENV_MAX_N)
+    if raw is None:
+        return DEFAULT_MAX_N
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{ENV_MAX_N}={raw!r} is not a non-negative integer")
+    return int(raw)
+
+
+def check_budget(n: int, what: str) -> None:
+    """Refuse an exhaustive sweep of size n above the size budget."""
+    limit = size_budget()
+    if n > limit:
+        raise BudgetError(
+            f"{what} for n={n} exceeds the size budget {limit} (set {ENV_MAX_N} to raise it)"
+        )
+
+
+def check_nk(n: int, k: int) -> None:
+    """The parameter domain of the family: n >= 2 and 2 <= k <= n."""
+    if n < 2:
+        raise ValueError(f"n={n} must be >= 2")
+    if not 2 <= k <= n:
+        raise ValueError(f"k={k} outside [2, {n}]")
+
+
+def _is_ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -64,13 +102,23 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse a JSON array, a comma-separated list, or a digit string (n <= 9)."""
+        """Parse a JSON array, a comma-separated list, or a digit string (n <= 9).
+
+        Parsing is lossless: JSON entries must be integers (not bools or
+        floats) and every other entry ASCII digits.
+        """
         text = text.strip()
         if text.startswith("["):
-            return cls(tuple(int(v) for v in json.loads(text)))
+            values = json.loads(text)
+            if not isinstance(values, list) or any(type(v) is not int for v in values):
+                raise ValueError(f"{text!r} is not a JSON array of integers")
+            return cls(tuple(values))
         if "," in text:
-            return cls(tuple(int(part) for part in text.split(",")))
-        if text.isdigit():
+            parts = [part.strip() for part in text.split(",")]
+            if not all(_is_ascii_digits(part) for part in parts):
+                raise ValueError(f"{text!r} is not a comma-separated list of integers")
+            return cls(tuple(int(part) for part in parts))
+        if _is_ascii_digits(text):
             if len(text) > 9:
                 raise ValueError("digit-string input is only accepted for n <= 9")
             return cls(tuple(int(ch) for ch in text))
@@ -156,11 +204,10 @@ def compose(a: Word, w: Permutation) -> Word:
     return Word(tuple(vals[j - 1] for j in w.images))
 
 
-def all_words(n: int, cap: int = DEFAULT_WORD_CAP) -> Iterator[Word]:
+def all_words(n: int) -> Iterator[Word]:
     """Yield all n**n words over [1, n] in lexicographic order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise BudgetError(f"all_words(n={n}) exceeds the cap of {cap} ({n}**{n} words)")
+    check_budget(n, "word stream")
     for vals in itertools.product(range(1, n + 1), repeat=n):
         yield Word(vals)

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Word
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+from .core import Word, check_budget, check_nk
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +81,7 @@ def build_gkn(n: int, k: int) -> MultiDiGraph:
     Arcs: (i, j) for every 1 <= i < j <= n; (j, 1) with multiplicity
     min(j, k) - 1 for every j >= 2; (j, i) for every k <= i < j <= n.
     """
-    _check_nk(n, k)
+    check_nk(n, k)
     counts: dict[tuple[int, int], int] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -138,7 +131,7 @@ class RootedGraph:
 
 
 def build_rooted(n: int, k: int) -> RootedGraph:
-    _check_nk(n, k)
+    check_nk(n, k)
     lists: list[tuple[int, ...]] = [tuple(range(n, 0, -1))]
     from_one: list[int] = []
     for i in range(n, 1, -1):
@@ -269,11 +262,6 @@ def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
     return Word(tuple(vals[1:]))
 
 
-def is_g_parking(g: RootedGraph, a: Word) -> bool:
-    """Membership via burning: the run must burn every vertex."""
-    return dfs_burn(g, a).success
-
-
 def is_g_parking_bruteforce(g: MultiDiGraph, a: Word) -> bool:
     """Membership straight from the definition, over all vertex subsets.
 
@@ -283,8 +271,7 @@ def is_g_parking_bruteforce(g: MultiDiGraph, a: Word) -> bool:
     if a.n != g.n:
         raise ValueError(f"dimension mismatch: word n={a.n}, graph n={g.n}")
     n = g.n
-    if n > 16:
-        raise ValueError(f"subset sweep refused for n={n} > 16")
+    check_budget(n, "subset sweep")
     vals = a.values
     out = [[] for _ in range(n + 1)]
     for u, v, mult in g.arcs:

@@ -1,10 +1,10 @@
-"""Slot-assignment parking, the centre, and the parking-function classifiers.
+"""The centre, the tail sort and the parking-function classifiers.
 
 The central object is a word a over [1, n].  Drivers n, n-1, ..., 1 try to
 park in a street of 2n slots, driver i starting at slot a[i] and rolling
-forward to the first free slot.  Everything else here (centre, tail sort,
-k-partial test, witness permutation) classifies which words park which
-drivers.
+forward to the first free slot.  The predicates here (parking, tail
+parking, centre, k-partial test, witness permutation) decide which words
+park which drivers by counting, without running the street.
 """
 
 from __future__ import annotations
@@ -12,53 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Permutation, Word, compose
-
-
-def _check_k(n: int, k: int) -> None:
-    if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
-
-
-@dataclass(frozen=True, eq=False)
-class ParkingOutcome:
-    """Full record of one slot-assignment run.
-
-    `parked_set` holds drivers, `occupied_slots` holds slots.  Rearranging
-    the word can swap which driver ends up where, so only the slot set (and
-    with it the parked count) is invariant under composition with a
-    permutation; the parking-function test sees no difference, since either
-    set being full forces the other.
-    """
-
-    slots: tuple[int, ...]            # length 2n; slots[p-1] is the driver in slot p, 0 if free
-    spot_of: dict[int, int]           # driver -> assigned slot
-    first_free: int                   # least free slot among [1, n+1]
-    parked_set: frozenset[int]        # drivers whose slot is <= n
-    occupied_slots: frozenset[int]    # image of spot_of, within [1, 2n]
-
-
-def run_parking(a: Word) -> ParkingOutcome:
-    """Simulate the parking process over 2n slots, drivers in descending order.
-
-    A slot in [n+1, 2n] is always available, so every driver is assigned
-    somewhere; driver i "parks" when its slot is <= n.
-    """
-    n = a.n
-    slots = [0] * (2 * n)
-    spot_of: dict[int, int] = {}
-    for i in range(n, 0, -1):
-        p = a.values[i - 1]
-        while slots[p - 1] != 0:
-            p += 1
-        assert p <= 2 * n, "slot scan overflow: impossible for entries in [1, n]"
-        spot_of[i] = p
-        slots[p - 1] = i
-    first_free = next(p for p in range(1, n + 2) if slots[p - 1] == 0)
-    parked = frozenset(i for i, p in spot_of.items() if p <= n)
-    return ParkingOutcome(
-        tuple(slots), spot_of, first_free, parked, frozenset(spot_of.values())
-    )
+from .core import Permutation, Word, check_nk, compose
 
 
 def is_parking_function(a: Word) -> bool:
@@ -83,7 +37,7 @@ def parks_all_tail(a: Word, k: int) -> bool:
     entries can be replaced by 1 without affecting which of the tail park.
     """
     n = a.n
-    _check_k(n, k)
+    check_nk(n, k)
     tail = a.values[k - 1 :]
     for i in range(k, n + 1):
         if sum(1 for v in tail if v <= i) + k - 1 < i:
@@ -147,7 +101,7 @@ def sort_tail(a: Word, k: int) -> SortedTail:
     produced it (word = a o pi; pi fixes [1, k-1]).  Ties keep ascending
     original position.
     """
-    _check_k(a.n, k)
+    check_nk(a.n, k)
     head = list(range(1, k))
     tail = sorted(range(k, a.n + 1), key=lambda i: (-a.values[i - 1], i))
     pi = Permutation(tuple(head + tail))
@@ -156,7 +110,7 @@ def sort_tail(a: Word, k: int) -> SortedTail:
 
 def is_k_partial(a: Word, k: int) -> bool:
     """True when a parks all of [k, n] and the sorted-tail word has 1 in its centre."""
-    _check_k(a.n, k)
+    check_nk(a.n, k)
     if not parks_all_tail(a, k):
         return False
     return 1 in centre(sort_tail(a, k).word)
@@ -170,7 +124,7 @@ def sigma_conditions_hold(a: Word, k: int, sigma: Permutation) -> bool:
     for every i in [1, a[1] - 1] with sigma(i) < k.
     """
     n = a.n
-    _check_k(n, k)
+    check_nk(n, k)
     if sigma.n != n:
         raise ValueError("sigma has the wrong dimension")
     vals = a.values
@@ -195,7 +149,7 @@ def sigma_characterization(a: Word, k: int) -> Optional[Permutation]:
     B = [1, k-1] minus Z and C = [k, n] minus Z, lays them out as
     tau = (Z descending, B ascending, C descending) and returns pi o tau.
     """
-    _check_k(a.n, k)
+    check_nk(a.n, k)
     if not is_k_partial(a, k):
         return None
     n = a.n
@@ -212,7 +166,7 @@ def sigma_characterization(a: Word, k: int) -> Optional[Permutation]:
 
 def count_tail_parkers(n: int, k: int) -> int:
     """Closed form for the number of words parking every driver in [k, n]."""
-    _check_k(n, k)
+    check_nk(n, k)
     return k * n ** (k - 1) * (n + 1) ** (n - k)
 
 

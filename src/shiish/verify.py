@@ -5,16 +5,18 @@ subset-definition words, the park-the-tail-plus-centre words and the
 witness-permutation words must coincide; their common size is
 (n + 1)**(n - 1).  The harness also replays every worked example and
 count law as a machine-checkable report.
+
+Every sweep runs in this one process and is refused above the size budget
+(`SHIISH_MAX_N`, default 6; see `core.size_budget`).  The 2**n subset sweep
+and the region column of the count table run only for n below the budget.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .arrangement import build_arrangement, enumerate_regions
-from .core import BudgetError, Word, all_words, compose
+from .core import Word, all_words, check_budget, compose, size_budget
 from .graphs import build_gkn, build_rooted, dfs_burn, is_g_parking_bruteforce
 from .parking import (
     centre,
@@ -24,9 +26,6 @@ from .parking import (
     sigma_characterization,
     sort_tail,
 )
-
-#: Full five-way comparison (subset sweep included) is kept to n <= this.
-FULL_CHECK_MAX_N = 5
 
 CHARACTERIZATIONS = ("labels", "burning", "subsets", "definition", "sigma")
 
@@ -51,17 +50,16 @@ class EquivalenceReport:
         }
 
 
-def _word_sets_shard(n: int, k: int, first: int, include_subsets: bool):
-    """Predicate sweeps over the words starting with a fixed first entry."""
+def _word_sets(n: int, k: int, with_subsets: bool):
+    """One sweep of the word predicates over all of [n]^n."""
     rooted = build_rooted(n, k)
-    graph = build_gkn(n, k) if include_subsets else None
+    graph = build_gkn(n, k) if with_subsets else None
     burning = set()
     definition = set()
     sigma = set()
     subsets = set()
-    for rest in itertools.product(range(1, n + 1), repeat=n - 1):
-        vals = (first,) + rest
-        word = Word(vals)
+    for word in all_words(n):
+        vals = word.values
         if dfs_burn(rooted, word).success:
             burning.add(vals)
         if is_k_partial(word, k):
@@ -77,41 +75,24 @@ def _sample(values, limit: int = 10) -> list[list[int]]:
     return [list(v) for v in sorted(values)[:limit]]
 
 
-def cross_validate(
-    n: int, k: int, include_subsets: bool | None = None, workers: int = 1
-) -> EquivalenceReport:
+def cross_validate(n: int, k: int) -> EquivalenceReport:
     """Compare the five characterizations over all of [n]^n.
 
-    The subset sweep costs 2**n per word and is only run by default for
-    n <= 5; at n = 6 it is dropped unless explicitly requested.
+    Refused above the size budget.  The subset sweep costs 2**n per word
+    and runs only for n below the budget; at the budget itself the report
+    compares the other four.
     """
-    if n > FULL_CHECK_MAX_N + 1:
-        raise BudgetError(f"cross-validation refused for n={n} > {FULL_CHECK_MAX_N + 1}")
-    if include_subsets is None:
-        include_subsets = n <= FULL_CHECK_MAX_N
+    check_budget(n, "cross-validation")
+    with_subsets = n < size_budget()
 
     spec = build_arrangement(n, k)
     label_set = {label.entries for _, label in enumerate_regions(spec)}
-
-    shards = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            futures = [
-                pool.submit(_word_sets_shard, n, k, first, include_subsets)
-                for first in range(1, n + 1)
-            ]
-            shards = [f.result() for f in futures]
-    else:
-        shards = [_word_sets_shard(n, k, first, include_subsets) for first in range(1, n + 1)]
-    burning: set = set().union(*(s[0] for s in shards))
-    definition: set = set().union(*(s[1] for s in shards))
-    sigma: set = set().union(*(s[2] for s in shards))
-    subsets: set = set().union(*(s[3] for s in shards))
+    burning, definition, sigma, subsets = _word_sets(n, k, with_subsets)
 
     named = {
         "labels": label_set,
         "burning": burning,
-        "subsets": subsets if include_subsets else None,
+        "subsets": subsets if with_subsets else None,
         "definition": definition,
         "sigma": sigma,
     }
@@ -143,8 +124,10 @@ def reproduce_tables() -> dict:
     """Re-derive every worked example as an expected-vs-computed report.
 
     Mismatches are reported, never raised; the harness caller decides what
-    a failure means.
+    a failure means.  The examples enumerate regions up to n = 4, so the
+    replay is refused when the size budget is below that.
     """
+    check_budget(4, "worked-example replay")
     checks = []
 
     # The sixteen labels of the n = 3, k = 3 arrangement.
@@ -215,18 +198,19 @@ def reproduce_tables() -> dict:
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def count_sweep(n_max: int, regions_max_n: int = 5) -> dict:
+def count_sweep(n_max: int) -> dict:
     """Region counts and tail-parker counts for 2 <= n <= n_max, every k.
 
     Tail-parker counts come from a single brute-force pass over [n]^n and
-    are matched against the closed form; region counts are enumerated only
-    up to `regions_max_n` (at n = 6 the closure search takes about two
-    seconds per k, so the default stops at n = 5).
+    are matched against the closed form.  n_max is refused above the size
+    budget; region counts are enumerated only for n below it (at n = 6 the
+    closure search takes about two seconds per k, so the default budget
+    stops them at n = 5).
     """
     if n_max < 2:
         raise ValueError(f"n_max={n_max} must be >= 2")
-    if n_max > 6:
-        raise BudgetError(f"count sweep refused for n_max={n_max} > 6")
+    check_budget(n_max, "count sweep")
+    regions_below = size_budget()
     cells = []
     for n in range(2, n_max + 1):
         brute = {k: 0 for k in range(2, n + 1)}
@@ -236,7 +220,7 @@ def count_sweep(n_max: int, regions_max_n: int = 5) -> dict:
                     brute[k] += 1
         for k in range(2, n + 1):
             region_count = None
-            if n <= regions_max_n:
+            if n < regions_below:
                 region_count = len(enumerate_regions(build_arrangement(n, k)))
             formula = count_tail_parkers(n, k)
             cells.append(

@@ -7,12 +7,54 @@ deliberately avoiding the code paths under test.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from shiish import Permutation, Word
 from shiish.arrangement import BELOW
 from shiish.parking import sigma_conditions_hold
+
+
+@dataclass(frozen=True, eq=False)
+class ParkingOutcome:
+    """Full record of one slot-assignment run.
+
+    `parked_set` holds drivers, `occupied_slots` holds slots.  Rearranging
+    the word can swap which driver ends up where, so only the slot set (and
+    with it the parked count) is invariant under composition with a
+    permutation; the parking-function test sees no difference, since either
+    set being full forces the other.
+    """
+
+    slots: tuple[int, ...]            # length 2n; slots[p-1] is the driver in slot p, 0 if free
+    spot_of: dict[int, int]           # driver -> assigned slot
+    first_free: int                   # least free slot among [1, n+1]
+    parked_set: frozenset[int]        # drivers whose slot is <= n
+    occupied_slots: frozenset[int]    # image of spot_of, within [1, 2n]
+
+
+def run_parking(a: Word) -> ParkingOutcome:
+    """Simulate the parking process over 2n slots, drivers in descending order.
+
+    A slot in [n+1, 2n] is always available, so every driver is assigned
+    somewhere; driver i "parks" when its slot is <= n.
+    """
+    n = a.n
+    slots = [0] * (2 * n)
+    spot_of: dict[int, int] = {}
+    for i in range(n, 0, -1):
+        p = a.values[i - 1]
+        while slots[p - 1] != 0:
+            p += 1
+        assert p <= 2 * n, "slot scan overflow: impossible for entries in [1, n]"
+        spot_of[i] = p
+        slots[p - 1] = i
+    first_free = next(p for p in range(1, n + 2) if slots[p - 1] == 0)
+    parked = frozenset(i for i, p in spot_of.items() if p <= n)
+    return ParkingOutcome(
+        tuple(slots), spot_of, first_free, parked, frozenset(spot_of.values())
+    )
 
 
 def descending_subsets(n: int):

@@ -9,7 +9,7 @@ import random
 import time
 from functools import lru_cache
 
-from oracles import centre_oracle_masks, members_mask
+from oracles import centre_oracle_masks, members_mask, run_parking
 from shiish import (
     Permutation,
     Word,
@@ -26,7 +26,6 @@ from shiish import (
     label_direct,
     label_from_description,
     parks_all_tail,
-    run_parking,
     sigma_characterization,
     sort_tail,
     tree_to_word,

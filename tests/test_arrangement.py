@@ -198,11 +198,13 @@ def test_region_counts_small():
         assert len(enumerate_regions(build_arrangement(4, k))) == 125
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
         enumerate_regions(build_arrangement(7, 2))
+    monkeypatch.setenv("SHIISH_MAX_N", "3")
     with pytest.raises(BudgetError):
-        enumerate_regions(build_arrangement(4, 2), max_n=3)
+        enumerate_regions(build_arrangement(4, 2))
 
 
 def test_enumeration_is_sorted_and_distinct():

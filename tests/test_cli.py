@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from shiish import cli
 from shiish.cli import main
 
 
@@ -42,6 +45,64 @@ def test_regions_env_override(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("regions", "--n", "4", "--k", "2"),
+        ("verify", "--n-max", "4"),
+        ("count", "--n-max", "4"),
+    ],
+)
+def test_budget_refusal_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SHIISH_MAX_N", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "refused" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("regions", "--n", "3", "--k", "2"),
+        ("verify", "--n-max", "3"),
+        ("count", "--n-max", "3"),
+    ],
+)
+def test_non_integer_budget_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SHIISH_MAX_N", "six")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "SHIISH_MAX_N" in err
+    assert out == ""
+
+
+def test_polynomial_subcommands_ignore_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("SHIISH_MAX_N", "2")
+    assert run(capsys, "check", "4213")[0] == 0
+    assert run(capsys, "burn", "4213", "--k", "3")[0] == 0
+    assert run(capsys, "graph", "--n", "5", "--k", "3")[0] == 0
+
+
+def test_verify_refuses_before_any_work(capsys, monkeypatch):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    for name in ("cross_validate", "reproduce_tables", "count_sweep"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = run(capsys, "verify", "--n-max", "7")
+    assert code == 2
+    assert "refused" in err
+    assert out == ""
+
+
+def test_verify_workers_is_accepted_and_ignored(capsys):
+    single = run(capsys, "verify", "--n-max", "3")
+    assert run(capsys, "verify", "--n-max", "3", "--workers", "4") == single
+
+
 def test_regions_invalid_parameters(capsys):
     code, _, err = run(capsys, "regions", "--n", "4", "--k", "9")
     assert code == 1
@@ -77,6 +138,11 @@ def test_check_rejects_bad_word(capsys):
     code, _, err = run(capsys, "check", "4219", "--k", "all")
     assert code == 1
     assert "error" in err
+    # lossy forms that once read as the word 12
+    for word in ("[1.9, 2]", "[true, 2]", '[1, "2"]', "\uff11\uff12"):
+        code, out, err = run(capsys, "check", word, "--k", "2")
+        assert (code, out) == (1, "")
+        assert "error" in err
 
 
 def test_burn_subcommand(capsys):

@@ -4,7 +4,17 @@ import itertools
 
 import pytest
 
-from shiish import BudgetError, Label, Permutation, Word, all_words, compose
+from shiish import (
+    BudgetError,
+    Label,
+    Permutation,
+    Word,
+    all_words,
+    check_budget,
+    check_nk,
+    compose,
+    size_budget,
+)
 
 
 def test_word_validation():
@@ -37,6 +47,13 @@ def test_word_parse_forms():
         Word.parse("12345678910")  # digit strings stop at n = 9
     with pytest.raises(ValueError):
         Word.parse("not a word")
+    assert Word.parse(" [1, 2] ").values == (1, 2)
+    assert Word.parse("2, 1 ,1").values == (2, 1, 1)
+    # lossless: only JSON integers (not bools or floats) and ASCII digits
+    for text in ("[1.9, 2]", "[1.0, 2]", "[true, 2]", '[1, "2"]', "[[1], 2]", "[]",
+                 '{"a": 1}', "\uff11\uff12", "1,\uff12", "1,+2", "1,2_0", "1,,2", "\u00b9\u00b2"):
+        with pytest.raises(ValueError):
+            Word.parse(text)
 
 
 def test_word_compact_and_json():
@@ -112,11 +129,38 @@ def test_all_words_counts_and_order(n):
     assert values == sorted(values)  # lexicographic
 
 
-def test_all_words_edges():
+def test_all_words_edges(monkeypatch):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     assert [w.values for w in all_words(1)] == [(1,)]
     assert [w.values for w in all_words(2)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     with pytest.raises(BudgetError):
         list(all_words(8))
-    assert next(all_words(8, cap=8)).values == (1,) * 8  # cap is adjustable
+    monkeypatch.setenv("SHIISH_MAX_N", "8")
+    assert next(all_words(8)).values == (1,) * 8  # the budget is adjustable
     with pytest.raises(ValueError):
         list(all_words(0))
+
+
+def test_size_budget_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    assert size_budget() == 6
+    check_budget(6, "sweep")
+    with pytest.raises(BudgetError, match="SHIISH_MAX_N"):
+        check_budget(7, "sweep")
+    monkeypatch.setenv("SHIISH_MAX_N", "3")
+    assert size_budget() == 3
+    with pytest.raises(BudgetError):
+        check_budget(4, "sweep")
+    for bad in ("nonsense", "-1", "4.0", "", "\uff14"):
+        monkeypatch.setenv("SHIISH_MAX_N", bad)
+        with pytest.raises(ValueError) as info:
+            size_budget()
+        assert not isinstance(info.value, BudgetError)
+
+
+def test_check_nk_domain():
+    for n, k in ((2, 2), (4, 2), (4, 4)):
+        check_nk(n, k)
+    for n, k in ((1, 1), (1, 2), (4, 1), (4, 5), (0, 0)):
+        with pytest.raises(ValueError):
+            check_nk(n, k)

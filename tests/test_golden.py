@@ -1,0 +1,76 @@
+"""Golden outputs: SHA-256 of what fixed CLI invocations write.
+
+The hashes pin stdout, and the ``--json`` file where one is written, byte
+for byte.  A refactor that changes any of them changes a published output.
+"""
+
+import hashlib
+
+import pytest
+
+from shiish.cli import main
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+GOLDEN = [
+    (
+        ["regions", "--n", "4", "--k", "3"],
+        "2a3358a73d1c1dd910ed20e5ef2f42385f55316a21e15039cf8411875148e2bf",
+    ),
+    (
+        ["regions", "--n", "4", "--k", "2", "--format", "csv"],
+        "ae17032073ba50a6aa38695895ee0a63aafac31d9a71e310d1255691bb5a2f67",
+    ),
+    (
+        ["regions", "--n", "3", "--k", "3", "--format", "text"],
+        "070d30098c085ba2a2c4c77aa15b65f0b5b89f78a62461c7eddd1ec1034585f5",
+    ),
+    (
+        ["check", "4213", "--k", "all", "--trace"],
+        "0c8148d1c5989a965a7f835d2a4a35385227c2356328ea131bcd31c63f358608",
+    ),
+    (
+        ["burn", "4213", "--k", "all"],
+        "18ad30878e474a7a1af9ef7ae35948995be59a1f94944a85dd09db35e2b8e63e",
+    ),
+    (
+        ["graph", "--n", "4", "--k", "3"],
+        "776ae846b92ce17351f0dbabf0fb7bbc60e3b308483b63f88448d4e3b726524c",
+    ),
+    (
+        ["graph", "--n", "4", "--k", "3", "--rooted"],
+        "496f49ddf3dd4adb01bfc5a2edc10010e8f3efb8f7b07c65905995ad284900fd",
+    ),
+    (
+        ["count", "--n-max", "5"],
+        "0b028f2c098b3df74c8545c11d2a66e698a1e9ebaef25537c7405f8f49e80e2a",
+    ),
+    (
+        ["count", "--n-max", "6", "--format", "json"],
+        "e48fb7b4bcb045205f09b0c5e087ff7f5949aa4b06693ff246b9af1b634ad441",
+    ),
+]
+
+
+@pytest.fixture(autouse=True)
+def default_budget(monkeypatch):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+
+
+@pytest.mark.parametrize("argv,stdout_sha", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_is_golden(capsys, argv, stdout_sha):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == stdout_sha
+
+
+def test_verify_report_is_golden(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--n-max", "4", "--json", str(report)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert sha256(out) == "33857425d1bbaa39939f671738b553d4b7b78cd61307e350fd0b6ab3c086a53f"
+    assert sha256(report.read_bytes()) == (
+        "bec1f5136aced1c65fa65f613d70f7ad231b3bde1b267a76713fa3cb555520a8"
+    )

@@ -13,7 +13,6 @@ from shiish import (
     centre,
     dfs_burn,
     graph_to_dot,
-    is_g_parking,
     is_g_parking_bruteforce,
     rooted_to_dot,
     sort_tail,
@@ -309,8 +308,8 @@ def test_parking_predicates_worked_examples():
     a = Word((4, 2, 1, 3))
     assert is_g_parking_bruteforce(build_gkn(4, 2), a)
     assert not is_g_parking_bruteforce(build_gkn(4, 4), a)
-    assert is_g_parking(build_rooted(4, 2), a)
-    assert not is_g_parking(build_rooted(4, 4), a)
+    assert dfs_burn(build_rooted(4, 2), a).success
+    assert not dfs_burn(build_rooted(4, 4), a).success
     for k in (2, 3, 4):
         assert is_g_parking_bruteforce(build_gkn(4, k), Word((1, 1, 1, 1)))
 
@@ -321,7 +320,7 @@ def test_burning_agrees_with_subset_definition():
             g = build_gkn(n, k)
             rooted = build_rooted(n, k)
             for a in all_words(n):
-                assert is_g_parking(rooted, a) == is_g_parking_bruteforce(g, a)
+                assert dfs_burn(rooted, a).success == is_g_parking_bruteforce(g, a)
 
 
 def test_bruteforce_size_guard():

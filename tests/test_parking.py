@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import centre_by_subsets, sigma_exists_bruteforce
+from oracles import centre_by_subsets, run_parking, sigma_exists_bruteforce
 from shiish import (
     Permutation,
     Word,
@@ -16,7 +16,6 @@ from shiish import (
     is_k_partial,
     is_parking_function,
     parks_all_tail,
-    run_parking,
     sigma_characterization,
     sigma_conditions_hold,
     sort_tail,

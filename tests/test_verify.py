@@ -49,21 +49,23 @@ def test_cross_validate_json_schema():
     assert payload["counts"]["labels"] == 16
 
 
-def test_cross_validate_can_skip_subsets():
-    report = cross_validate(3, 2, include_subsets=False)
+def test_cross_validate_can_skip_subsets(monkeypatch):
+    # the subset sweep runs only for n below the size budget
+    monkeypatch.setenv("SHIISH_MAX_N", "3")
+    report = cross_validate(3, 2)
     assert "subsets" not in report.counts
     assert report.passed
+    monkeypatch.setenv("SHIISH_MAX_N", "4")
+    assert "subsets" in cross_validate(3, 2).counts
 
 
-def test_cross_validate_workers_give_same_answer():
-    solo = cross_validate(4, 3, workers=1)
-    multi = cross_validate(4, 3, workers=3)
-    assert solo.to_json() == multi.to_json()
-
-
-def test_cross_validate_budget():
+def test_cross_validate_budget(monkeypatch):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
         cross_validate(7, 2)
+    monkeypatch.setenv("SHIISH_MAX_N", "2")
+    with pytest.raises(BudgetError):
+        cross_validate(3, 2)
 
 
 def test_reproduce_tables_all_pass():
@@ -88,10 +90,13 @@ def test_count_sweep_values():
     assert all(c["regions"] == 125 for c in sweep["cells"] if c["n"] == 4)
 
 
-def test_count_sweep_budget_and_region_cap():
+def test_count_sweep_budget_and_region_cap(monkeypatch):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
         count_sweep(7)
-    sweep = count_sweep(4, regions_max_n=3)
+    # region counts are enumerated only for n below the budget
+    monkeypatch.setenv("SHIISH_MAX_N", "4")
+    sweep = count_sweep(4)
     cells4 = [c for c in sweep["cells"] if c["n"] == 4]
     assert all(c["regions"] is None for c in cells4)
     assert sweep["pass"]
