@@ -18,10 +18,10 @@ import sys
 from typing import Optional, Sequence
 
 from .arrangement import build_arrangement, enumerate_regions, region_record
-from .core import BudgetError, Word, check_budget, check_nk
+from .core import BudgetError, Word, _is_ascii_digits, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
-from .verify import count_sweep, cross_validate, reproduce_tables
+from .verify import count_sweep, verify_gate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,7 +34,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _ascii_int(text: str) -> int:
+    """Value of a numeric option: ASCII digits only, so '３' or '-1' is a usage error."""
+    if not _is_ascii_digits(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -52,7 +59,7 @@ def _dump_json(payload) -> str:
 def _parse_ks(raw: str, n: int) -> list[int]:
     if raw == "all":
         return list(range(2, n + 1))
-    k = int(raw)
+    k = _ascii_int(raw)
     check_nk(n, k)
     return [k]
 
@@ -109,27 +116,18 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 2:
         raise ValueError(f"--n-max={args.n_max} must be >= 2")
-    check_budget(args.n_max, "verification")
-    tables = reproduce_tables()
-    cells = [
-        cross_validate(n, k).to_json()
-        for n in range(2, args.n_max + 1)
-        for k in range(2, n + 1)
-    ]
-    counts = count_sweep(args.n_max)
-    passed = all(c["pass"] for c in cells) and tables["pass"] and counts["pass"]
-    merged = {"cells": cells, "tables": tables, "counts": counts, "pass": passed}
+    merged = verify_gate(args.n_max)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(_dump_json(merged))
-    for cell in cells:
+    for cell in merged["cells"]:
         status = "pass" if cell["pass"] else "FAIL"
         counted = ", ".join(f"{name}={num}" for name, num in sorted(cell["counts"].items()))
         print(f"(n={cell['n']}, k={cell['k']}) {status}  {counted}")
-    print(f"worked examples: {'pass' if tables['pass'] else 'FAIL'}")
-    print(f"count laws: {'pass' if counts['pass'] else 'FAIL'}")
-    print(f"overall: {'pass' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    print(f"worked examples: {'pass' if merged['tables']['pass'] else 'FAIL'}")
+    print(f"count laws: {'pass' if merged['counts']['pass'] else 'FAIL'}")
+    print(f"overall: {'pass' if merged['pass'] else 'FAIL'}")
+    return EXIT_OK if merged["pass"] else EXIT_VERIFY_FAILED
 
 
 def cmd_count(args) -> int:
@@ -154,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_regions = sub.add_parser("regions", help="enumerate the regions of one arrangement")
-    p_regions.add_argument("--n", type=int, required=True)
-    p_regions.add_argument("--k", type=int, required=True)
+    p_regions.add_argument("--n", type=_ascii_int, required=True)
+    p_regions.add_argument("--k", type=_ascii_int, required=True)
     p_regions.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_regions.add_argument("--out", default=None)
     p_regions.set_defaults(func=cmd_regions)
@@ -174,22 +172,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_burn.set_defaults(func=cmd_burn)
 
     p_graph = sub.add_parser("graph", help="DOT export of the (rooted) multigraph")
-    p_graph.add_argument("--n", type=int, required=True)
-    p_graph.add_argument("--k", type=int, required=True)
+    p_graph.add_argument("--n", type=_ascii_int, required=True)
+    p_graph.add_argument("--k", type=_ascii_int, required=True)
     p_graph.add_argument("--rooted", action="store_true")
     p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="cross-validate all characterizations")
-    p_verify.add_argument("--n-max", type=int, default=4)
+    p_verify.add_argument("--n-max", type=_ascii_int, default=4)
     p_verify.add_argument("--json", default=None, help="write the merged JSON report here")
     p_verify.add_argument(
-        "--workers", type=int, default=1, help="accepted and ignored: sweeps run in one process"
+        "--workers",
+        type=_ascii_int,
+        default=1,
+        help="accepted and ignored: sweeps run in one process",
     )
     p_verify.set_defaults(func=cmd_verify)
 
     p_count = sub.add_parser("count", help="region and tail-parker count table")
-    p_count.add_argument("--n-max", type=int, default=5)
+    p_count.add_argument("--n-max", type=_ascii_int, default=5)
     p_count.add_argument("--format", choices=("text", "json"), default="text")
     p_count.add_argument("--out", default=None)
     p_count.set_defaults(func=cmd_count)
@@ -208,7 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ into the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Word, check_budget, check_nk
 
@@ -93,7 +93,8 @@ def build_gkn(n: int, k: int) -> MultiDiGraph:
             counts[(j, i)] = counts.get((j, i), 0) + 1
     arcs = tuple((u, v, m) for (u, v), m in sorted(counts.items()))
     g = MultiDiGraph(n, arcs)
-    assert g.is_connected(), "construction always yields a connected graph"
+    if not g.is_connected():
+        raise RuntimeError(f"the graph for n={n}, k={k} is not connected")
     return g
 
 
@@ -163,45 +164,53 @@ class BurnReport:
         }
 
 
+def _burn(g: RootedGraph, values: Sequence[int]) -> tuple[list, list, list]:
+    """The burn loop over raw entries: (burnt, tree, dampened) as in BurnReport.
+
+    One frame per burning vertex holds the iterator over its neighbor list;
+    descending into a newly burnt vertex suspends that iterator, so the
+    visit order is exactly that of the recursive formulation.
+    """
+    n = g.n
+    neighbors = g.neighbors
+    vals = [0, *values]
+    burnt_flag = [False] * (n + 1)
+    burnt_flag[0] = True
+    burnt = [0]
+    tree: list[tuple[int, int]] = []
+    damp: list[tuple[int, int]] = []
+    stack = [(0, iter(neighbors[0]))]
+    while stack:
+        i, nbrs = stack[-1]
+        for j in nbrs:
+            jn = (j - 1) % n + 1
+            if burnt_flag[jn]:
+                continue
+            if vals[jn] == 1:
+                tree.append((i, j))
+                burnt.append(jn)
+                burnt_flag[jn] = True
+                stack.append((jn, iter(neighbors[jn])))
+                break
+            damp.append((i, j))
+            vals[jn] -= 1
+        else:
+            stack.pop()
+    return burnt, tree, damp
+
+
 def dfs_burn(g: RootedGraph, a: Word) -> BurnReport:
     """Depth-first burn from the root over the ordered neighbor lists.
 
     An unburnt target with count 1 burns (arc joins the tree, search
     descends); otherwise the arc is dampened and the count drops by one.
     The recursion of the textbook formulation is replaced by an explicit
-    frame stack, preserving the exact visit order.
+    stack of neighbor iterators (`_burn`), preserving the exact visit order.
     """
     if a.n != g.n:
         raise ValueError(f"dimension mismatch: word n={a.n}, graph n={g.n}")
-    n = g.n
-    vals = [0] + list(a.values)
-    burnt_flag = [False] * (n + 1)
-    burnt_flag[0] = True
-    burnt = [0]
-    tree: list[tuple[int, int]] = []
-    damp: list[tuple[int, int]] = []
-    stack: list[list[int]] = [[0, 0]]
-    while stack:
-        frame = stack[-1]
-        i, pos = frame
-        nbrs = g.neighbors[i]
-        if pos == len(nbrs):
-            stack.pop()
-            continue
-        frame[1] = pos + 1
-        j = nbrs[pos]
-        jn = (j - 1) % n + 1
-        if burnt_flag[jn]:
-            continue
-        if vals[jn] == 1:
-            tree.append((i, j))
-            burnt.append(jn)
-            burnt_flag[jn] = True
-            stack.append([jn, 0])
-        else:
-            damp.append((i, j))
-            vals[jn] -= 1
-    return BurnReport(tuple(burnt), tuple(tree), tuple(damp), len(burnt) == n + 1)
+    burnt, tree, damp = _burn(g, a.values)
+    return BurnReport(tuple(burnt), tuple(tree), tuple(damp), len(burnt) == g.n + 1)
 
 
 def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
@@ -297,6 +306,38 @@ def is_g_parking_bruteforce(g: MultiDiGraph, a: Word) -> bool:
         if not found:
             return False
     return True
+
+
+def _subset_parking(g: MultiDiGraph) -> Callable[[Sequence[int]], bool]:
+    """The subset definition of `is_g_parking_bruteforce` as a table lookup.
+
+    Subsets I of [n] are bit positions of one integer (bit I for the mask
+    I).  good[i-1][v] holds the non-empty I containing i with
+    outdeg_I(i) >= v - 1, so a word a is a parking function of g exactly
+    when the union of good[i-1][a[i]] over all i holds every non-empty I.
+    The table is built once per graph; each word costs n lookups.
+    """
+    n = g.n
+    check_budget(n, "subset sweep")
+    good = []
+    for i in range(1, n + 1):
+        row = [0] * (n + 1)
+        for mask in range(1, 1 << n):
+            if not mask >> (i - 1) & 1:
+                continue
+            outdeg = sum(mult for v, mult in g.out_arcs(i) if not mask >> (v - 1) & 1)
+            for v in range(1, min(outdeg + 1, n) + 1):
+                row[v] |= 1 << mask
+        good.append(row)
+    everything = (1 << (1 << n)) - 2
+
+    def parks(values: Sequence[int]) -> bool:
+        covered = 0
+        for row, v in zip(good, values):
+            covered |= row[v]
+        return covered == everything
+
+    return parks
 
 
 def graph_to_dot(g: MultiDiGraph, name: str = "g") -> str:

@@ -36,11 +36,20 @@ def parks_all_tail(a: Word, k: int) -> bool:
     all i in [k, n]; equivalent to the simulation because the first k - 1
     entries can be replaced by 1 without affecting which of the tail park.
     """
-    n = a.n
-    check_nk(n, k)
-    tail = a.values[k - 1 :]
-    for i in range(k, n + 1):
-        if sum(1 for v in tail if v <= i) + k - 1 < i:
+    check_nk(a.n, k)
+    return _parks_tail(a.values, k)
+
+
+def _parks_tail(vals: Sequence[int], k: int) -> bool:
+    """`parks_all_tail` over raw entries, by a running count of tail values."""
+    n = len(vals)
+    counts = [0] * (n + 1)
+    for v in vals[k - 1 :]:
+        counts[v] += 1
+    parked = k - 1
+    for i in range(1, n + 1):
+        parked += counts[i]
+        if parked < i:
             return False
     return True
 
@@ -74,14 +83,16 @@ def centre(a: Word) -> CentreResult:
     is unique and the greedy scan finds it; the test suite double-checks
     against exhaustive subset enumeration.
     """
+    return CentreResult(tuple(_centre(a.values)))
+
+
+def _centre(vals: Sequence[int]) -> list[int]:
+    """`centre` over raw entries: the members, descending."""
     members = []
-    m = 0
-    vals = a.values
-    for i in range(a.n, 0, -1):
-        if vals[i - 1] <= m + 1:
+    for i in range(len(vals), 0, -1):
+        if vals[i - 1] <= len(members) + 1:
             members.append(i)
-            m += 1
-    return CentreResult(tuple(members))
+    return members
 
 
 def is_ish_parking(a: Word) -> bool:
@@ -102,18 +113,38 @@ def sort_tail(a: Word, k: int) -> SortedTail:
     original position.
     """
     check_nk(a.n, k)
-    head = list(range(1, k))
-    tail = sorted(range(k, a.n + 1), key=lambda i: (-a.values[i - 1], i))
-    pi = Permutation(tuple(head + tail))
+    pi = Permutation(tuple(_tail_order(a.values, k)))
     return SortedTail(compose(a, pi), pi)
+
+
+def _tail_order(vals: Sequence[int], k: int) -> list[int]:
+    """Images of the `sort_tail` permutation: positions k..n by value descending.
+
+    A stable sort with reverse=True keeps tied positions ascending.
+    """
+    tail = sorted(range(k - 1, len(vals)), key=vals.__getitem__, reverse=True)
+    return [*range(1, k), *(p + 1 for p in tail)]
+
+
+def _k_partial(vals: Sequence[int], k: int) -> Optional[tuple[list[int], list[int]]]:
+    """(pi, Z) when the raw word is k-partial, else None.
+
+    pi is the `sort_tail` permutation and Z the centre of the sorted-tail
+    word, descending: the two ingredients of the witness.
+    """
+    if not _parks_tail(vals, k):
+        return None
+    pi = _tail_order(vals, k)
+    z_members = _centre([vals[p - 1] for p in pi])
+    if not z_members or z_members[-1] != 1:  # descending: 1 comes last
+        return None
+    return pi, z_members
 
 
 def is_k_partial(a: Word, k: int) -> bool:
     """True when a parks all of [k, n] and the sorted-tail word has 1 in its centre."""
     check_nk(a.n, k)
-    if not parks_all_tail(a, k):
-        return False
-    return 1 in centre(sort_tail(a, k).word)
+    return _k_partial(a.values, k) is not None
 
 
 def sigma_conditions_hold(a: Word, k: int, sigma: Permutation) -> bool:
@@ -123,12 +154,15 @@ def sigma_conditions_hold(a: Word, k: int, sigma: Permutation) -> bool:
     i in [k, n] with sigma(i) >= k.  Condition two: sigma(i+1) < sigma(i)
     for every i in [1, a[1] - 1] with sigma(i) < k.
     """
-    n = a.n
-    check_nk(n, k)
-    if sigma.n != n:
+    check_nk(a.n, k)
+    if sigma.n != a.n:
         raise ValueError("sigma has the wrong dimension")
-    vals = a.values
-    images = sigma.images
+    return _witness_holds(a.values, k, sigma.images)
+
+
+def _witness_holds(vals: Sequence[int], k: int, images: Sequence[int]) -> bool:
+    """`sigma_conditions_hold` over raw entries and raw images."""
+    n = len(vals)
     a1 = vals[0]
     for i in range(1, a1 + 1):
         if vals[images[i - 1] - 1] > i:
@@ -150,18 +184,21 @@ def sigma_characterization(a: Word, k: int) -> Optional[Permutation]:
     tau = (Z descending, B ascending, C descending) and returns pi o tau.
     """
     check_nk(a.n, k)
-    if not is_k_partial(a, k):
+    found = _k_partial(a.values, k)
+    if found is None:
         return None
-    n = a.n
-    word_up, pi = sort_tail(a, k)
-    z_members = centre(word_up).members          # descending
+    images = _witness(k, *found)
+    if not _witness_holds(a.values, k, images):
+        raise RuntimeError(f"the witness {images} of {a} for k={k} fails its conditions")
+    return Permutation(images)
+
+
+def _witness(k: int, pi: list[int], z_members: list[int]) -> tuple[int, ...]:
+    """Images of pi o tau, tau = (Z descending, B ascending, C descending)."""
     z_set = set(z_members)
     b_part = [i for i in range(1, k) if i not in z_set]
-    c_part = [i for i in range(k, n + 1) if i not in z_set]
-    tau = Permutation(tuple(list(z_members) + b_part + list(reversed(c_part))))
-    sigma = pi.compose(tau)
-    assert sigma_conditions_hold(a, k, sigma), "constructed witness failed its own conditions"
-    return sigma
+    c_part = [i for i in range(len(pi), k - 1, -1) if i not in z_set]
+    return tuple(pi[t - 1] for t in (*z_members, *b_part, *c_part))
 
 
 def count_tail_parkers(n: int, k: int) -> int:

@@ -9,20 +9,29 @@ count law as a machine-checkable report.
 Every sweep runs in this one process and is refused above the size budget
 (`SHIISH_MAX_N`, default 6; see `core.size_budget`).  The 2**n subset sweep
 and the region column of the count table run only for n below the budget.
+
+`verify_gate` runs all of it as one report, enumerating each arrangement
+once.  Each cell sweeps [n]^n once, over raw tuples, through the private
+kernels that the public predicates in `graphs` and `parking` wrap.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable
 
 from .arrangement import build_arrangement, enumerate_regions
-from .core import Word, all_words, check_budget, compose, size_budget
-from .graphs import build_gkn, build_rooted, dfs_burn, is_g_parking_bruteforce
+from .core import Word, check_budget, compose, size_budget
+from .graphs import _burn, _subset_parking, build_gkn, build_rooted, dfs_burn
 from .parking import (
+    _k_partial,
+    _parks_tail,
+    _witness,
+    _witness_holds,
     centre,
     count_tail_parkers,
-    is_k_partial,
-    parks_all_tail,
     sigma_characterization,
     sort_tail,
 )
@@ -50,24 +59,40 @@ class EquivalenceReport:
         }
 
 
+#: (n, k) -> (number of regions, set of their labels); see `_region_labels`.
+_RegionLabels = Callable[[int, int], tuple[int, frozenset]]
+
+
+def _region_labels(n: int, k: int) -> tuple[int, frozenset]:
+    """Number of regions of the (n, k) arrangement and the set of their labels."""
+    pairs = enumerate_regions(build_arrangement(n, k))
+    return len(pairs), frozenset(label.entries for _, label in pairs)
+
+
 def _word_sets(n: int, k: int, with_subsets: bool):
-    """One sweep of the word predicates over all of [n]^n."""
+    """One pass over the raw tuples of [n]^n for the four word characterizations.
+
+    Per word the burn runs once, and tail parking, the sorted tail and its
+    centre are computed once: "definition" is k-partiality, and "sigma"
+    holds the words whose witness passes the explicit condition check.
+    """
     rooted = build_rooted(n, k)
-    graph = build_gkn(n, k) if with_subsets else None
+    subset_parks = _subset_parking(build_gkn(n, k)) if with_subsets else None
     burning = set()
     definition = set()
     sigma = set()
     subsets = set()
-    for word in all_words(n):
-        vals = word.values
-        if dfs_burn(rooted, word).success:
+    for vals in product(range(1, n + 1), repeat=n):
+        if len(_burn(rooted, vals)[0]) == n + 1:
             burning.add(vals)
-        if is_k_partial(word, k):
-            definition.add(vals)
-        if sigma_characterization(word, k) is not None:
-            sigma.add(vals)
-        if graph is not None and is_g_parking_bruteforce(graph, word):
+        if subset_parks is not None and subset_parks(vals):
             subsets.add(vals)
+        found = _k_partial(vals, k)
+        if found is None:
+            continue
+        definition.add(vals)
+        if _witness_holds(vals, k, _witness(k, *found)):
+            sigma.add(vals)
     return burning, definition, sigma, subsets
 
 
@@ -83,10 +108,12 @@ def cross_validate(n: int, k: int) -> EquivalenceReport:
     compares the other four.
     """
     check_budget(n, "cross-validation")
-    with_subsets = n < size_budget()
+    return _cell(n, k, _region_labels(n, k)[1])
 
-    spec = build_arrangement(n, k)
-    label_set = {label.entries for _, label in enumerate_regions(spec)}
+
+def _cell(n: int, k: int, label_set: frozenset) -> EquivalenceReport:
+    """`cross_validate` against an already enumerated label set."""
+    with_subsets = n < size_budget()
     burning, definition, sigma, subsets = _word_sets(n, k, with_subsets)
 
     named = {
@@ -128,6 +155,15 @@ def reproduce_tables() -> dict:
     replay is refused when the size budget is below that.
     """
     check_budget(4, "worked-example replay")
+    return _tables(functools.cache(_region_labels))
+
+
+def _tables(labels: _RegionLabels) -> dict:
+    """`reproduce_tables` with the label sets taken from `labels`."""
+
+    def label_strings(n: int, k: int) -> set[str]:
+        return {"".join(map(str, entries)) for entries in labels(n, k)[1]}
+
     checks = []
 
     # The sixteen labels of the n = 3, k = 3 arrangement.
@@ -135,24 +171,16 @@ def reproduce_tables() -> dict:
         "133", "132", "131", "123", "231", "122", "113", "112",
         "111", "121", "221", "213", "212", "211", "311", "321",
     }
-    spec33 = build_arrangement(3, 3)
-    computed33 = {"".join(map(str, lab.entries)) for _, lab in enumerate_regions(spec33)}
-    checks.append(_check("labels_n3_k3", sorted(figure_labels), sorted(computed33)))
+    checks.append(_check("labels_n3_k3", sorted(figure_labels), sorted(label_strings(3, 3))))
 
     # Label families of the three n = 4 arrangements, plus the 2313 label.
     shi_family = {"2311", "2312", "2411", "2412", "2413"}
     ish_family = {"2311", "2411", "2412", "2413", "2414"}
     for k, family in ((2, shi_family), (3, shi_family), (4, ish_family)):
-        spec = build_arrangement(4, k)
-        labels = {"".join(map(str, lab.entries)) for _, lab in enumerate_regions(spec)}
         checks.append(
-            _check(f"table_family_n4_k{k}", sorted(family), sorted(family & labels))
+            _check(f"table_family_n4_k{k}", sorted(family), sorted(family & label_strings(4, k)))
         )
-    labels_43 = {
-        "".join(map(str, lab.entries))
-        for _, lab in enumerate_regions(build_arrangement(4, 3))
-    }
-    checks.append(_check("footnote_label_n4_k3", True, "2313" in labels_43))
+    checks.append(_check("footnote_label_n4_k3", True, "2313" in label_strings(4, 3)))
 
     # Burn traces of the word 4213 on the three rooted graphs.
     word = Word((4, 2, 1, 3))
@@ -210,18 +238,21 @@ def count_sweep(n_max: int) -> dict:
     if n_max < 2:
         raise ValueError(f"n_max={n_max} must be >= 2")
     check_budget(n_max, "count sweep")
+    return _counts(n_max, _region_labels)
+
+
+def _counts(n_max: int, labels: _RegionLabels) -> dict:
+    """`count_sweep` with the region counts taken from `labels`."""
     regions_below = size_budget()
     cells = []
     for n in range(2, n_max + 1):
         brute = {k: 0 for k in range(2, n + 1)}
-        for word in all_words(n):
+        for vals in product(range(1, n + 1), repeat=n):
             for k in range(2, n + 1):
-                if parks_all_tail(word, k):
+                if _parks_tail(vals, k):
                     brute[k] += 1
         for k in range(2, n + 1):
-            region_count = None
-            if n < regions_below:
-                region_count = len(enumerate_regions(build_arrangement(n, k)))
+            region_count = labels(n, k)[0] if n < regions_below else None
             formula = count_tail_parkers(n, k)
             cells.append(
                 {
@@ -237,3 +268,28 @@ def count_sweep(n_max: int) -> dict:
             )
     passed = all(c["regions_match"] and c["tail_parkers_match"] for c in cells)
     return {"cells": cells, "pass": passed}
+
+
+def verify_gate(n_max: int) -> dict:
+    """The merged report of `shiish verify`: cells, worked examples, count laws.
+
+    Every cell with 2 <= k <= n <= n_max, `reproduce_tables` and
+    `count_sweep(n_max)`, with each arrangement enumerated once per call and
+    its label set shared by the three parts.  Nothing is kept between
+    calls.  Refused, before any work, above the size budget or when the
+    budget is below the worked examples' n = 4.
+    """
+    if n_max < 2:
+        raise ValueError(f"n_max={n_max} must be >= 2")
+    check_budget(n_max, "verification")
+    check_budget(4, "worked-example replay")
+    labels = functools.cache(_region_labels)
+    tables = _tables(labels)
+    cells = [
+        _cell(n, k, labels(n, k)[1]).to_json()
+        for n in range(2, n_max + 1)
+        for k in range(2, n + 1)
+    ]
+    counts = _counts(n_max, labels)
+    passed = all(c["pass"] for c in cells) and tables["pass"] and counts["pass"]
+    return {"cells": cells, "tables": tables, "counts": counts, "pass": passed}

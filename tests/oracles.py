@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shiish import Permutation, Word
+from shiish import Permutation, Word, all_words, build_gkn, build_rooted, is_g_parking_bruteforce
 from shiish.arrangement import BELOW
 from shiish.parking import sigma_conditions_hold
 
@@ -143,3 +143,72 @@ def feasible_by_bellman_ford(spec, assigned) -> bool:
         if not changed:
             return True
     return all(dist[u] + wgt >= dist[v] for u, v, wgt in edges)
+
+
+def burn_by_recursion(g, values) -> tuple[list, list, list]:
+    """The burn in its textbook recursive form: (burnt, tree, dampened)."""
+    counts = [0, *values]
+    burnt = [0]
+    tree = []
+    damp = []
+
+    def visit(i):
+        for j in g.neighbors[i]:
+            jn = g.decode(j)
+            if jn in burnt:
+                continue
+            if counts[jn] == 1:
+                tree.append((i, j))
+                burnt.append(jn)
+                visit(jn)
+            else:
+                damp.append((i, j))
+                counts[jn] -= 1
+
+    visit(0)
+    return burnt, tree, damp
+
+
+def is_k_partial_by_definition(a: Word, k: int) -> bool:
+    """Park the drivers n..1 and test the sorted-tail word's centre by subsets."""
+    n = a.n
+    if not set(range(k, n + 1)) <= run_parking(a).parked_set:
+        return False
+    tail = sorted(range(k, n + 1), key=lambda i: (-a[i], i))
+    up = tuple(a[i] for i in [*range(1, k), *tail])
+    return 1 in centre_by_subsets(up)
+
+
+def witness_by_construction(a: Word, k: int) -> Permutation:
+    """pi o tau for a k-partial word, built from Permutation objects as stated."""
+    n = a.n
+    pi = Permutation((*range(1, k), *sorted(range(k, n + 1), key=lambda i: (-a[i], i))))
+    up = tuple(a[pi(i)] for i in range(1, n + 1))
+    z = centre_by_subsets(up)
+    b_part = [i for i in range(1, k) if i not in z]
+    c_part = [i for i in range(k, n + 1) if i not in z]
+    return pi.compose(Permutation((*z, *b_part, *reversed(c_part))))
+
+
+def word_sets_by_definition(n: int, k: int):
+    """Burning, definition, sigma and subset sets of [n]^n, one word at a time.
+
+    The per-word sweep that the harness ran before its fused pass: validated
+    words, the recursive burn, the parking run with the subset-union centre,
+    the witness built from permutations and checked against its conditions,
+    and the 2**n subset definition.
+    """
+    rooted = build_rooted(n, k)
+    graph = build_gkn(n, k)
+    burning, definition, sigma, subsets = set(), set(), set(), set()
+    for word in all_words(n):
+        vals = word.values
+        if len(burn_by_recursion(rooted, vals)[0]) == n + 1:
+            burning.add(vals)
+        if is_k_partial_by_definition(word, k):
+            definition.add(vals)
+            if sigma_conditions_hold(word, k, witness_by_construction(word, k)):
+                sigma.add(vals)
+        if is_g_parking_bruteforce(graph, word):
+            subsets.add(vals)
+    return burning, definition, sigma, subsets

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shiish import cli
+from shiish import verify
 from shiish.cli import main
 
 
@@ -90,12 +90,32 @@ def test_verify_refuses_before_any_work(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the budget check")
 
-    for name in ("cross_validate", "reproduce_tables", "count_sweep"):
-        monkeypatch.setattr(cli, name, must_not_run)
+    # cmd_verify hands over to verify_gate, whose work runs in these helpers
+    for name in ("_region_labels", "_tables", "_cell", "_counts"):
+        monkeypatch.setattr(verify, name, must_not_run)
     code, out, err = run(capsys, "verify", "--n-max", "7")
     assert code == 2
     assert "refused" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "4213", "--k", "\uff13"),
+        ("burn", "4213", "--k", "\u0663"),
+        ("graph", "--n", "\uff14", "--k", "3"),
+        ("regions", "--n", "\uff13", "--k", "3"),
+        ("regions", "--n", "3", "--k", "-3"),
+        ("verify", "--n-max", "\uff13"),
+        ("verify", "--n-max", "3", "--workers", "\uff12"),
+        ("count", "--n-max", "\uff13"),
+    ],
+)
+def test_numeric_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "ASCII digits" in err
 
 
 def test_verify_workers_is_accepted_and_ignored(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import burn_by_recursion
 from shiish import (
     MultiDiGraph,
     Word,
@@ -18,6 +19,7 @@ from shiish import (
     sort_tail,
     tree_to_word,
 )
+from shiish.graphs import _subset_parking
 
 
 # ------------------------------------------------------------- construction
@@ -321,6 +323,39 @@ def test_burning_agrees_with_subset_definition():
             rooted = build_rooted(n, k)
             for a in all_words(n):
                 assert dfs_burn(rooted, a).success == is_g_parking_bruteforce(g, a)
+
+
+def test_subset_table_matches_bruteforce():
+    for n in range(2, 6):
+        for k in range(2, n + 1):
+            g = build_gkn(n, k)
+            parks = _subset_parking(g)
+            for a in all_words(n):
+                assert parks(a.values) == is_g_parking_bruteforce(g, a), (a, k)
+
+
+def test_burn_matches_the_recursive_formulation():
+    words = [a for n in range(2, 6) for a in all_words(n)]
+    rng = random.Random(20181)
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        words.append(Word(tuple(rng.randint(1, n) for _ in range(n))))
+    for a in words:
+        for k in range(2, a.n + 1):
+            g = build_rooted(a.n, k)
+            burnt, tree, damp = burn_by_recursion(g, a.values)
+            report = dfs_burn(g, a)
+            assert (report.burnt, report.tree, report.dampened) == (
+                tuple(burnt), tuple(tree), tuple(damp)
+            )
+            assert report.success == (len(burnt) == a.n + 1)
+
+
+def test_build_gkn_raises_when_not_connected(monkeypatch):
+    # an explicit check, so it survives python -O
+    monkeypatch.setattr(MultiDiGraph, "is_connected", lambda self: False)
+    with pytest.raises(RuntimeError):
+        build_gkn(3, 2)
 
 
 def test_bruteforce_size_guard():

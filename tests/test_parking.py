@@ -20,6 +20,7 @@ from shiish import (
     sigma_conditions_hold,
     sort_tail,
 )
+from shiish import parking
 from shiish.parking import classification_report
 
 
@@ -232,6 +233,14 @@ def test_sigma_witness_always_validates():
                 assert (sigma is not None) == is_k_partial(a, k)
                 if sigma is not None:
                     assert sigma_conditions_hold(a, k, sigma)
+
+
+def test_sigma_characterization_raises_on_a_failed_witness(monkeypatch):
+    # an explicit check, so it survives python -O
+    monkeypatch.setattr(parking, "_witness_holds", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        sigma_characterization(Word((1, 1, 1)), 2)
+    assert sigma_characterization(Word((3, 3, 3)), 2) is None
 
 
 def test_sigma_existence_is_implied_by_partial():

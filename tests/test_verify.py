@@ -1,7 +1,10 @@
 """The cross-validation harness and its reports."""
 
+from collections import Counter
+
 import pytest
 
+from oracles import word_sets_by_definition
 from shiish import (
     BudgetError,
     all_words,
@@ -12,7 +15,10 @@ from shiish import (
     is_k_partial,
     parks_all_tail,
     reproduce_tables,
+    verify,
 )
+from shiish.cli import main
+from shiish.verify import _word_sets, verify_gate
 
 
 def test_three_way_equivalence_small():
@@ -106,3 +112,59 @@ def test_count_sweep_rejects_empty_range():
     for n_max in (1, 0):
         with pytest.raises(ValueError):
             count_sweep(n_max)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fused_sweep_matches_the_per_word_oracles(n):
+    # burning, definition, sigma and subsets, set for set
+    for k in range(2, n + 1):
+        assert _word_sets(n, k, True) == word_sets_by_definition(n, k)
+
+
+def test_sigma_set_goes_through_the_witness_check(monkeypatch):
+    # with the shared check failing, no word may reach the sigma set
+    monkeypatch.setattr(verify, "_witness_holds", lambda *args: False)
+    report = cross_validate(4, 3)
+    assert report.passed is False
+    assert [m["characterization"] for m in report.mismatches] == ["sigma"]
+    assert report.counts["sigma"] == 0
+
+
+def test_verify_enumerates_each_arrangement_once_per_run(monkeypatch, capsys):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    calls = Counter()
+    enumerate_regions = verify.enumerate_regions
+
+    def counting(spec):
+        calls[(spec.n, spec.k)] += 1
+        return enumerate_regions(spec)
+
+    monkeypatch.setattr(verify, "enumerate_regions", counting)
+    every = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
+    assert main(["verify", "--n-max", "5"]) == 0
+    assert calls == Counter(every)
+    # nothing is carried over: a second run enumerates again
+    assert main(["verify", "--n-max", "5"]) == 0
+    assert calls == Counter(every * 2)
+    capsys.readouterr()
+
+    calls.clear()
+    assert reproduce_tables()["pass"]
+    assert calls == Counter([(3, 3), (4, 2), (4, 3), (4, 4)])
+
+
+def test_verify_gate_refuses_before_any_work(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the checks")
+
+    for name in ("_region_labels", "_tables", "_cell", "_counts"):
+        monkeypatch.setattr(verify, name, must_not_run)
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    with pytest.raises(BudgetError):
+        verify_gate(7)
+    with pytest.raises(ValueError):
+        verify_gate(1)
+    # the worked examples need n = 4
+    monkeypatch.setenv("SHIISH_MAX_N", "3")
+    with pytest.raises(BudgetError):
+        verify_gate(3)
