@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import inf
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -106,51 +105,34 @@ def build_arrangement(n: int, k: int) -> ArrangementSpec:
 class Region:
     """A chamber, identified by its side of every hyperplane (0 below, 1 above).
 
-    A rational interior point is kept alongside; construction checks that it
-    satisfies every strict inequality, so a Region certifies its own
-    non-emptiness.  Equality and hashing use the sign vector only.
+    An interior point is kept alongside as n integers `point` over a common
+    positive integer `scale` (the point is point/scale); construction checks
+    in integers that it satisfies every strict inequality, so a Region
+    certifies its own non-emptiness.  Equality and hashing use the sign
+    vector only.
     """
 
     spec: ArrangementSpec = field(compare=False, repr=False)
     signs: tuple[int, ...]
-    witness: tuple[Fraction, ...] = field(compare=False, repr=False)
+    point: tuple[int, ...] = field(compare=False, repr=False)
+    scale: int = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(self.signs))
-        object.__setattr__(self, "witness", tuple(Fraction(x) for x in self.witness))
-        spec = self.spec
+        object.__setattr__(self, "point", tuple(self.point))
+        spec, point, scale = self.spec, self.point, self.scale
         if len(self.signs) != len(spec.hyperplanes):
             raise ValueError("one sign per hyperplane required")
-        if len(self.witness) != spec.n:
-            raise ValueError("witness has the wrong dimension")
+        if len(point) != spec.n:
+            raise ValueError("witness point has the wrong dimension")
+        if scale < 1:
+            raise ValueError(f"scale must be >= 1, got {scale}")
         for s, hp in zip(self.signs, spec.hyperplanes):
             if s not in (BELOW, ABOVE):
                 raise ValueError(f"sign {s!r} is neither below (0) nor above (1)")
-            diff = self.witness[hp.p - 1] - self.witness[hp.q - 1]
-            if s == BELOW and not diff < hp.c:
-                raise ValueError(f"witness violates {hp.equation()} side 'below'")
-            if s == ABOVE and not diff > hp.c:
-                raise ValueError(f"witness violates {hp.equation()} side 'above'")
-
-    @classmethod
-    def _certified(
-        cls, spec: ArrangementSpec, signs: tuple[int, ...], scaled: Sequence[int], scale: int
-    ) -> "Region":
-        """Region with witness scaled/scale, checked in integers only.
-
-        Every strict inequality is tested on the integer point `scaled`, so
-        the Fraction re-check of `__post_init__` is skipped.
-        """
-        for s, hp in zip(signs, spec.hyperplanes):
-            diff = scaled[hp.p - 1] - scaled[hp.q - 1]
-            bound = hp.c * scale
-            if not (diff > bound if s == ABOVE else diff < bound):
-                raise ValueError(f"witness violates {hp.equation()}")
-        region = object.__new__(cls)
-        object.__setattr__(region, "spec", spec)
-        object.__setattr__(region, "signs", signs)
-        object.__setattr__(region, "witness", tuple(Fraction(x, scale) for x in scaled))
-        return region
+            diff = point[hp.p - 1] - point[hp.q - 1]
+            if not (diff > hp.c * scale if s == ABOVE else diff < hp.c * scale):
+                raise ValueError(f"witness violates {hp.equation()} on side {s}")
 
     def sign_string(self) -> str:
         return "".join("1" if s == ABOVE else "0" for s in self.signs)
@@ -250,9 +232,8 @@ def base_region(spec: ArrangementSpec) -> Region:
     every equality hyperplane and below every offset hyperplane.
     """
     n = spec.n
-    witness = tuple(Fraction(n - i, n) for i in range(1, n + 1))
     signs = tuple(ABOVE if hp.c == 0 else BELOW for hp in spec.hyperplanes)
-    return Region(spec, signs, witness)
+    return Region(spec, signs, tuple(range(n - 1, -1, -1)), n)
 
 
 def _increment_index(hp: Hyperplane) -> int:
@@ -265,8 +246,8 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
     """All chambers with their labels, by wall-crossing search from the base chamber.
 
     Each dequeued sign vector gets one DBM closure.  Its witness, the
-    virtual-source potential X_i = min(0, min_j D[j][i]), is checked in
-    integers against every hyperplane before the region is accepted.  Per
+    virtual-source potential X_i = min(0, min_j D[j][i]) over scale n + 1,
+    is checked in integers by the Region constructor.  Per
     pair (p, q) only the one or two hyperplanes bounding the interval of
     x_p - x_q can be walls; a bound of weight w on edge u -> v is a wall
     exactly when no path through a third coordinate implies it, i.e.
@@ -310,7 +291,7 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
         dbm = _closure(n, map(tuple.__getitem__, edges, signs))
         if dbm is None:
             raise ValueError(f"sign vector {signs} is infeasible")
-        regions[signs] = Region._certified(spec, signs, [min(col) for col in zip(*dbm)], scale)
+        regions[signs] = Region(spec, signs, tuple(map(min, zip(*dbm))), scale)
         label = labels[signs]
         for planes, bounds in pairs:
             for pos, u, v, w, others in bounds[sum(map(signs.__getitem__, planes))]:

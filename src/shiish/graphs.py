@@ -5,8 +5,8 @@ hyperplane x_i = x_j and an arc (j, i) for every offset hyperplane
 x_i = x_j + c.  Its rooted companion adds a vertex 0 joined to everything,
 reverses all arcs, and fixes a deterministic neighbor order; a depth-first
 burn over that order decides membership in the graph's parking-function set
-and, on success, produces a spanning tree that the inverse replay turns back
-into the word.
+and, on success, produces a spanning tree; re-burning with raised entries
+turns the tree back into the word.
 """
 
 from __future__ import annotations
@@ -214,61 +214,31 @@ def dfs_burn(g: RootedGraph, a: Word) -> BurnReport:
 
 
 def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
-    """Replay the traversal with the given spanning tree pinned; recover the word.
+    """The word whose burn grows exactly the given spanning tree: `dfs_burn` inverted.
 
-    The tree must consist of encoded arcs of g, oriented away from the root,
-    with every vertex of [1, n] entered exactly once.  Starting from the
-    all-ones word, every non-tree arc scanned into a not-yet-entered vertex
-    bumps that vertex's entry by one.
+    Start from the all-ones word and burn.  While the grown tree holds an
+    arc outside the given one, the first such arc was scanned before its
+    target's tree arc, so that vertex needed one more dampening: add 1 to
+    its entry and burn again.  Entries never pass those of the answer, so
+    each burn follows the previous one up to its first stray arc; an entry
+    rises only while it is at most its vertex's in-degree, so there are at
+    most about as many burns as arcs.  Raises ValueError unless the last
+    burn grew exactly the n given arcs, i.e. unless they are encoded arcs of
+    g forming a spanning tree oriented away from the root.
     """
     n = g.n
     arcs = [tuple(arc) for arc in tree]
-    if len(arcs) != n:
-        raise ValueError(f"a spanning tree of the rooted graph has {n} arcs, got {len(arcs)}")
-    parent: dict[int, int] = {}
-    for i, j in arcs:
-        if not 0 <= i <= n:
-            raise ValueError(f"arc source {i} outside [0, {n}]")
-        if j not in g.neighbors[i]:
-            raise ValueError(f"arc ({i}, {j}) is not an arc of the graph")
-        jn = g.decode(j)
-        if jn in parent:
-            raise ValueError(f"vertex {jn} entered twice: not a tree")
-        parent[jn] = i
-    reached = {0}
-    frontier = True
-    while frontier:
-        frontier = False
-        for jn, i in parent.items():
-            if jn not in reached and i in reached:
-                reached.add(jn)
-                frontier = True
-    if len(reached) != n + 1:
-        raise ValueError("arcs are not oriented away from the root: not a spanning tree")
-
-    tree_set = set(arcs)
-    vals = [1] * (n + 1)
-    burnt_flag = [False] * (n + 1)
-    burnt_flag[0] = True
-    stack: list[list[int]] = [[0, 0]]
-    while stack:
-        frame = stack[-1]
-        i, pos = frame
-        nbrs = g.neighbors[i]
-        if pos == len(nbrs):
-            stack.pop()
-            continue
-        frame[1] = pos + 1
-        j = nbrs[pos]
-        jn = (j - 1) % n + 1
-        if burnt_flag[jn]:
-            continue
-        if (i, j) in tree_set:
-            burnt_flag[jn] = True
-            stack.append([jn, 0])
-        else:
-            vals[jn] += 1
-    return Word(tuple(vals[1:]))
+    given = set(arcs)
+    vals = [1] * n
+    while True:
+        _, grown, _ = _burn(g, vals)
+        stray = next((arc for arc in grown if arc not in given), None)
+        if stray is None:
+            break
+        vals[g.decode(stray[1]) - 1] += 1
+    if not len(arcs) == len(grown) == n:
+        raise ValueError(f"{arcs} is not a spanning tree of the rooted graph")
+    return Word(tuple(vals))
 
 
 def is_g_parking_bruteforce(g: MultiDiGraph, a: Word) -> bool:

@@ -169,6 +169,64 @@ def burn_by_recursion(g, values) -> tuple[list, list, list]:
     return burnt, tree, damp
 
 
+def tree_to_word_by_replay(g, tree) -> Word:
+    """Replay the traversal with the given spanning tree pinned; recover the word.
+
+    The tree must consist of encoded arcs of g, oriented away from the root,
+    with every vertex of [1, n] entered exactly once.  Starting from the
+    all-ones word, every non-tree arc scanned into a not-yet-entered vertex
+    bumps that vertex's entry by one.
+    """
+    n = g.n
+    arcs = [tuple(arc) for arc in tree]
+    if len(arcs) != n:
+        raise ValueError(f"a spanning tree of the rooted graph has {n} arcs, got {len(arcs)}")
+    parent: dict[int, int] = {}
+    for i, j in arcs:
+        if not 0 <= i <= n:
+            raise ValueError(f"arc source {i} outside [0, {n}]")
+        if j not in g.neighbors[i]:
+            raise ValueError(f"arc ({i}, {j}) is not an arc of the graph")
+        jn = g.decode(j)
+        if jn in parent:
+            raise ValueError(f"vertex {jn} entered twice: not a tree")
+        parent[jn] = i
+    reached = {0}
+    frontier = True
+    while frontier:
+        frontier = False
+        for jn, i in parent.items():
+            if jn not in reached and i in reached:
+                reached.add(jn)
+                frontier = True
+    if len(reached) != n + 1:
+        raise ValueError("arcs are not oriented away from the root: not a spanning tree")
+
+    tree_set = set(arcs)
+    vals = [1] * (n + 1)
+    burnt_flag = [False] * (n + 1)
+    burnt_flag[0] = True
+    stack: list[list[int]] = [[0, 0]]
+    while stack:
+        frame = stack[-1]
+        i, pos = frame
+        nbrs = g.neighbors[i]
+        if pos == len(nbrs):
+            stack.pop()
+            continue
+        frame[1] = pos + 1
+        j = nbrs[pos]
+        jn = (j - 1) % n + 1
+        if burnt_flag[jn]:
+            continue
+        if (i, j) in tree_set:
+            burnt_flag[jn] = True
+            stack.append([jn, 0])
+        else:
+            vals[jn] += 1
+    return Word(tuple(vals[1:]))
+
+
 def is_k_partial_by_definition(a: Word, k: int) -> bool:
     """Park the drivers n..1 and test the sorted-tail word's centre by subsets."""
     n = a.n

@@ -130,23 +130,36 @@ def test_region_requires_valid_witness():
     spec = build_arrangement(3, 3)
     base = base_region(spec)
     with pytest.raises(ValueError):
-        Region(spec, base.signs, (Fraction(0), Fraction(0), Fraction(0)))
+        Region(spec, base.signs, (0, 0, 0), 3)
+    with pytest.raises(ValueError):
+        Region(spec, base.signs, base.point, 0)  # scale below 1
+    with pytest.raises(ValueError):
+        Region(spec, base.signs, base.point[:-1], base.scale)  # wrong length
+    with pytest.raises(ValueError):
+        Region(spec, (2,) + base.signs[1:], base.point, base.scale)  # sign outside {0, 1}
+
+
+def test_base_region_point():
+    for n in range(2, 7):
+        base = base_region(build_arrangement(n, 2))
+        assert base.point == tuple(range(n - 1, -1, -1))
+        assert base.scale == n
 
 
 def test_certified_region_rejects_corrupt_integer_witness():
     spec = build_arrangement(4, 3)
-    scale = spec.n + 1
     for region, _ in enumerate_regions(spec):
-        scaled = [int(x * scale) for x in region.witness]
-        assert Region._certified(spec, region.signs, scaled, scale).witness == region.witness
+        assert region.scale == spec.n + 1
+        assert Region(spec, region.signs, region.point, region.scale) == region
         with pytest.raises(ValueError):
-            Region._certified(spec, region.signs, [0] * spec.n, scale)
+            Region(spec, region.signs, [0] * spec.n, region.scale)
         # swapping the highest and lowest coordinates reverses their order
-        top = max(range(spec.n), key=scaled.__getitem__)
-        bottom = min(range(spec.n), key=scaled.__getitem__)
-        scaled[top], scaled[bottom] = scaled[bottom], scaled[top]
+        point = list(region.point)
+        top = max(range(spec.n), key=point.__getitem__)
+        bottom = min(range(spec.n), key=point.__getitem__)
+        point[top], point[bottom] = point[bottom], point[top]
         with pytest.raises(ValueError):
-            Region._certified(spec, region.signs, scaled, scale)
+            Region(spec, region.signs, point, region.scale)
 
 
 def test_is_feasible_matches_bellman_ford_oracle():
@@ -307,7 +320,7 @@ def test_witness_matches_description():
         spec = build_arrangement(n, k)
         for region, _ in enumerate_regions(spec):
             desc = describe(spec, region)
-            x = region.witness
+            x = [Fraction(p, region.scale) for p in region.point]
             order = sorted(range(1, n + 1), key=lambda v: -x[v - 1])
             assert tuple(order) == desc.w.images
             for i in range(1, n + 1):

@@ -1,9 +1,14 @@
 """Command-line contract: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shiish
 from shiish import verify
 from shiish.cli import main
 
@@ -229,3 +234,27 @@ def test_usage_errors_exit_1(capsys):
     assert main(["regions", "--n", "notanumber", "--k", "2"]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [("regions", "--n", "3", "--k", "3", "--out"), ("verify", "--n-max", "3", "--json")]
+)
+def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_cli_imports_only_the_standard_library_and_no_fractions():
+    # -S leaves site-packages off the path, so a third-party import fails
+    src = str(Path(shiish.__file__).parents[1])
+    code = "import sys, shiish.cli; print('fractions' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"

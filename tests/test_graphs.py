@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import burn_by_recursion
+from oracles import burn_by_recursion, tree_to_word_by_replay
 from shiish import (
     MultiDiGraph,
     Word,
@@ -274,6 +274,47 @@ def test_tree_to_word_rejects_bad_input():
         tree_to_word(g, ((0, 3), (0, 2), (2, 4), (2, 4)))  # vertex entered twice
     with pytest.raises(ValueError):
         tree_to_word(g, ((0, 3), (2, 4), (4, 1), (1, 2)))  # cycle, never reached from 0
+
+
+def _random_tree_with_garbage(rng, g):
+    """Arcs of a random spanning tree of g, grown from the root, some replaced by garbage."""
+    n = g.n
+    arcs = [(i, j) for i in range(n + 1) for j in g.neighbors[i]]
+    reached = {0}
+    tree = []
+    while len(reached) <= n:
+        i, j = rng.choice([(i, j) for i, j in arcs if i in reached and g.decode(j) not in reached])
+        tree.append((i, j))
+        reached.add(g.decode(j))
+    for pos in range(n):
+        if rng.random() < 0.05:
+            if rng.random() < 0.5:
+                tree[pos] = rng.choice(arcs)
+            else:
+                tree[pos] = (rng.randint(-1, n + 1), rng.randint(-1, n * n + 1))
+    rng.shuffle(tree)
+    return tree
+
+
+def test_tree_to_word_matches_the_replay_oracle():
+    # the same input gives the same word, or both raise ValueError
+    rng = random.Random(20261018)
+    words = rejected = 0
+    for _ in range(3000):
+        n = rng.randint(2, 7)
+        g = build_rooted(n, rng.randint(2, n))
+        tree = _random_tree_with_garbage(rng, g)
+        try:
+            expected = tree_to_word_by_replay(g, tree)
+        except ValueError:
+            with pytest.raises(ValueError):
+                tree_to_word(g, tree)
+            rejected += 1
+        else:
+            assert tree_to_word(g, tree) == expected
+            assert sorted(dfs_burn(g, expected).tree) == sorted(tree)
+            words += 1
+    assert words > 2000 and rejected > 300
 
 
 def test_round_trip_exhaustive_small():
