@@ -3,19 +3,18 @@
 An arrangement is a list of hyperplanes x_p - x_q = c.  A region is a
 feasible total choice of side (strictly below or strictly above) for every
 hyperplane.  Feasibility of the strict system is decided exactly on a
-difference-bound matrix (DBM) over scaled integers, closed by
-Floyd-Warshall; an integer witness point falls out of the closure.  Regions
-are enumerated by breadth-first search from the base chamber: one closure
-per region tells which hyperplanes are walls, and crossing a wall gives a
-neighbor.  Regions are labelled three independent ways.
+difference-bound matrix (DBM) over scaled integers, kept closed as one
+constraint at a time is added; an integer witness point falls out of the
+closure.  Regions are enumerated by depth-first search over sign vectors,
+the label carried down the search path; `label_from_description` labels a
+region a second, independent way.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from math import inf
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import Label, Permutation, check_budget, check_nk
 
@@ -55,7 +54,7 @@ class ArrangementSpec:
 
     def __post_init__(self) -> None:
         index = {}
-        offsets: dict[tuple[int, int], int] = {}
+        planes: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for pos, hp in enumerate(self.hyperplanes):
             if hp.q > self.n:
                 raise ValueError(f"{hp} uses a coordinate beyond n={self.n}")
@@ -63,11 +62,15 @@ class ArrangementSpec:
             if key in index:
                 raise ValueError(f"duplicate hyperplane {hp}")
             index[key] = pos
-            if hp.c >= 1:
-                pair = (hp.p, hp.q)
-                offsets[pair] = max(offsets.get(pair, 0), hp.c)
+            planes.setdefault((hp.p, hp.q), []).append((hp.c, pos))
+        # What `describe` reads per pair: equality index, (offset, index) pairs.
+        pairs = tuple(
+            (p, q, index.get((p, q, 0)), tuple(sorted(t for t in found if t[0] >= 1)))
+            for (p, q), found in sorted(planes.items())
+        )
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_max_offset", offsets)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_max_offset", {(p, q): o[-1][0] for p, q, _, o in pairs if o})
 
     def index_of(self, p: int, q: int, c: int) -> int:
         return self._index[(p, q, c)]
@@ -173,33 +176,34 @@ def _edge(hp: Hyperplane, side: int, scale: int) -> tuple[int, int, int]:
     return hp.p - 1, hp.q - 1, -hp.c * scale - 1
 
 
-def _closure(n: int, edges: Iterable[tuple[int, int, int]]) -> Optional[list[list]]:
-    """Closed DBM of the `_edge`s (scale n + 1) of a sign assignment, or None if infeasible.
+def _tighten(dbm: list[list], u: int, v: int, w: int) -> Optional[list[list]]:
+    """The closed DBM `dbm` with the edge u -> v of weight w added, or None if infeasible.
 
-    Only the tightest bound per ordered pair is kept, so a simple cycle has
-    at most n edges; with scale = n + 1 a cycle of strict constraints is
+    Closed: D[i][j] is the tightest implied bound on X_j - X_i.  The edge
+    closes a negative cycle iff D[v][u] + w < 0, and is implied iff
+    D[u][v] <= w (then `dbm` itself comes back).  Otherwise
+    D'[i][j] = min(D[i][j], D[i][u] + w + D[v][j]) (Mine, PADO 2001); a row
+    with D[i][u] + w >= D[i][v] cannot change and is shared, as rows are
+    never mutated.  With scale n + 1 a cycle of strict constraints is
     contradictory exactly when its scaled weight is negative (CLRS 24.4).
-    Floyd-Warshall leaves in D[u][v] the tightest implied bound on
-    X_v - X_u; a negative diagonal entry means infeasible.
     """
-    dbm = [[inf] * n for _ in range(n)]
-    for i in range(n):
-        dbm[i][i] = 0
-    for u, v, w in edges:
-        if w < dbm[u][v]:
-            dbm[u][v] = w
-    nodes = range(n)
-    for m in nodes:
-        row_m = dbm[m]
-        for row in dbm:
-            via = row[m]
-            for j in nodes:
-                alt = via + row_m[j]
-                if alt < row[j]:
-                    row[j] = alt
-    if any(dbm[i][i] < 0 for i in nodes):
+    if dbm[v][u] + w < 0:
         return None
-    return dbm
+    if dbm[u][v] <= w:
+        return dbm
+    row_v = dbm[v]
+    out = []
+    for row in dbm:
+        a = row[u] + w
+        if a < row[v]:
+            row = [x if x <= a + y else a + y for x, y in zip(row, row_v)]
+        out.append(row)
+    return out
+
+
+def _unconstrained(n: int) -> list[list]:
+    """The closed DBM of no constraints: 0 on the diagonal, no bound elsewhere."""
+    return [[0 if i == j else inf for j in range(n)] for i in range(n)]
 
 
 def _normalize_assignment(spec: ArrangementSpec, signs: SignAssignment) -> list[tuple[int, int]]:
@@ -220,9 +224,12 @@ def _normalize_assignment(spec: ArrangementSpec, signs: SignAssignment) -> list[
 def is_feasible(spec: ArrangementSpec, signs: SignAssignment) -> bool:
     """Does the (partial or total) strict sign assignment cut out a non-empty set?"""
     scale = spec.n + 1
-    assigned = _normalize_assignment(spec, signs)
-    edges = (_edge(spec.hyperplanes[pos], side, scale) for pos, side in assigned)
-    return _closure(spec.n, edges) is not None
+    dbm: Optional[list[list]] = _unconstrained(spec.n)
+    for pos, side in _normalize_assignment(spec, signs):
+        dbm = _tighten(dbm, *_edge(spec.hyperplanes[pos], side, scale))
+        if dbm is None:
+            return False
+    return True
 
 
 def base_region(spec: ArrangementSpec) -> Region:
@@ -243,115 +250,74 @@ def _increment_index(hp: Hyperplane) -> int:
 
 
 def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
-    """All chambers with their labels, by wall-crossing search from the base chamber.
+    """All chambers with their labels, sorted by sign vector, by depth-first sign search.
 
-    Each dequeued sign vector gets one DBM closure.  Its witness, the
-    virtual-source potential X_i = min(0, min_j D[j][i]) over scale n + 1,
-    is checked in integers by the Region constructor.  Per
-    pair (p, q) only the one or two hyperplanes bounding the interval of
-    x_p - x_q can be walls; a bound of weight w on edge u -> v is a wall
-    exactly when no path through a third coordinate implies it, i.e.
-    D[u][m] + D[m][v] > w for every m other than u and v.  Crossing a wall
-    away from the base side adds the hyperplane's increment to the label,
-    crossing back subtracts it.  Output is sorted by sign vector, so the
-    search order never shows.  Refused above the size budget.
+    The search branches on the hyperplanes in index order, BELOW before
+    ABOVE.  Each node holds the closed DBM of its prefix (`_tighten`), so
+    infeasible sides are cut at once and every leaf is a chamber.  The label,
+    all-ones plus one increment per side off the base chamber's, is carried
+    down the path.  The Region constructor checks a leaf's witness, the
+    potential X_i = min_j D[j][i] over scale n + 1, in integers.  Refused
+    above the size budget.
     """
     check_budget(spec.n, "region enumeration")
     n = spec.n
     scale = n + 1
-    base_signs = base_region(spec).signs
-    hyperplanes = spec.hyperplanes
-    edges = [(_edge(hp, BELOW, scale), _edge(hp, ABOVE, scale)) for hp in hyperplanes]
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for pos, hp in enumerate(hyperplanes):
-        by_pair.setdefault((hp.p, hp.q), []).append((hp.c, pos))
-
-    def wall(pos: int, side: int):
-        u, v, w = edges[pos][side]
-        return pos, u, v, w, tuple(m for m in range(n) if m not in (u, v))
-
-    # Per pair: its hyperplanes in offset order and, indexed by how many of
-    # them the region is above, the at most two that bound x_p - x_q.
-    pairs = []
-    for planes in by_pair.values():
-        planes = [pos for _, pos in sorted(planes)]
-        bounds = (
-            [(wall(planes[0], BELOW),)]
-            + [(wall(planes[t - 1], ABOVE), wall(planes[t], BELOW)) for t in range(1, len(planes))]
-            + [(wall(planes[-1], ABOVE),)]
+    total = len(spec.hyperplanes)
+    # Per hyperplane and side: the DBM edge and the label coordinate it
+    # bumps, or None on the base chamber's side.
+    sides = [
+        tuple(
+            (*_edge(hp, side, scale), None if side == base else _increment_index(hp) - 1)
+            for side in (BELOW, ABOVE)
         )
-        pairs.append((planes, bounds))
-    increment = [_increment_index(hp) - 1 for hp in hyperplanes]
-
-    labels: dict[tuple[int, ...], tuple[int, ...]] = {base_signs: (1,) * n}
-    regions: dict[tuple[int, ...], Region] = {}
-    queue = deque([base_signs])
-    while queue:
-        signs = queue.popleft()
-        dbm = _closure(n, map(tuple.__getitem__, edges, signs))
+        for hp, base in zip(spec.hyperplanes, base_region(spec).signs)
+    ]
+    signs = [BELOW] * total
+    out = []
+    # An explicit stack of (position, side, parent DBM, parent label): a
+    # recursive closure would reference itself and outlive the call.
+    stack = [(0, side, _unconstrained(n), (1,) * n) for side in (ABOVE, BELOW)]
+    while stack:
+        pos, side, dbm, label = stack.pop()
+        u, v, w, bump = sides[pos][side]
+        dbm = _tighten(dbm, u, v, w)
         if dbm is None:
-            raise ValueError(f"sign vector {signs} is infeasible")
-        regions[signs] = Region(spec, signs, tuple(map(min, zip(*dbm))), scale)
-        label = labels[signs]
-        for planes, bounds in pairs:
-            for pos, u, v, w, others in bounds[sum(map(signs.__getitem__, planes))]:
-                row_u = dbm[u]
-                for m in others:
-                    if row_u[m] + dbm[m][v] <= w:
-                        break
-                else:
-                    flipped = signs[:pos] + (1 - signs[pos],) + signs[pos + 1 :]
-                    if flipped in labels:
-                        continue
-                    idx = increment[pos]
-                    delta = 1 if signs[pos] == base_signs[pos] else -1
-                    labels[flipped] = label[:idx] + (label[idx] + delta,) + label[idx + 1 :]
-                    queue.append(flipped)
-    return [(regions[s], Label(labels[s])) for s in sorted(regions)]
-
-
-def label_direct(spec: ArrangementSpec, region: Region) -> Label:
-    """Label from scratch: all-ones plus one increment per separating hyperplane."""
-    base_signs = base_region(spec).signs
-    entries = [1] * spec.n
-    for s, b, hp in zip(region.signs, base_signs, spec.hyperplanes):
-        if s != b:
-            entries[_increment_index(hp) - 1] += 1
-    return Label(tuple(entries))
+            continue
+        if bump is not None:
+            label = label[:bump] + (label[bump] + 1,) + label[bump + 1 :]
+        signs[pos] = side
+        pos += 1
+        if pos < total:
+            stack.append((pos, ABOVE, dbm, label))
+            stack.append((pos, BELOW, dbm, label))
+        else:
+            region = Region(spec, tuple(signs), tuple(map(min, zip(*dbm))), scale)
+            out.append((region, Label(label)))
+    return out
 
 
 def describe(spec: ArrangementSpec, region: Region) -> RegionDescription:
     """Read the coordinate order and per-pair difference windows off the signs."""
     n = spec.n
     signs = region.signs
-    above = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            above[(i, j)] = signs[spec.index_of(i, j, 0)] == ABOVE
     # In a chamber the comparisons form a strict total order, so the number
     # of coordinates each one beats determines its rank.
-    wins = {i: 0 for i in range(1, n + 1)}
-    for (i, j), is_above in above.items():
-        if is_above:
-            wins[i] += 1
-        else:
-            wins[j] += 1
-    order = sorted(range(1, n + 1), key=lambda v: -wins[v])
+    wins = [0] * (n + 1)
     windows = set()
     overflow = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not above[(i, j)]:
-                continue
-            cut = None
-            for c in range(1, spec.max_offset(i, j) + 1):
-                if signs[spec.index_of(i, j, c)] == BELOW:
-                    cut = c
-                    break
-            if cut is None:
-                overflow.add((i, j))
-            else:
-                windows.add((i, j, cut))
+    for i, j, equal, offsets in spec._pairs:
+        if signs[equal] != ABOVE:
+            wins[j] += 1
+            continue
+        wins[i] += 1
+        for c, pos in offsets:
+            if signs[pos] == BELOW:
+                windows.add((i, j, c))
+                break
+        else:
+            overflow.add((i, j))
+    order = sorted(range(1, n + 1), key=lambda v: -wins[v])
     return RegionDescription(Permutation(tuple(order)), frozenset(windows), frozenset(overflow))
 
 

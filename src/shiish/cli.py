@@ -13,15 +13,16 @@ have no budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .arrangement import build_arrangement, enumerate_regions, region_record
-from .core import BudgetError, Word, _is_ascii_digits, check_nk
+from .arrangement import build_arrangement, describe, enumerate_regions, region_record
+from .core import BudgetError, Word, _is_ascii_digits, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
-from .verify import count_sweep, verify_gate
+from .verify import _check_gate, count_sweep, verify_gate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,16 +45,48 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+@contextlib.contextmanager
+def _opened(path: Optional[str], default=None):
+    """`path` opened for writing, else `default`; commands open it after their
+    refusals and before their work, so an unwritable path fails at once."""
+    if not path:
+        yield default
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _opened(out, sys.stdout) as fh:
+        fh.write(text)
 
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _regions_json(records: Iterable[dict]) -> Iterator[str]:
+    """`_dump_json(list(records))` in chunks, for `region_record` records: their schema
+    is fixed, so this skips the pure-Python encoder that `indent` selects."""
+
+    def ints(values, indent: str = "      ") -> str:
+        # the indent=2 layout of a list of ints, or of encoded items, at `indent`
+        if not values:
+            return "[]"
+        return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
+
+    def rows(values) -> str:
+        return ints([ints(row, "        ") for row in values])
+
+    lead = "[\n  "
+    for r in records:
+        fields = (rows(r["H"]), rows(r["I"]), rows(r["diagram"]), ints(r["label"]))
+        yield lead + (
+            '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": %s,'
+            '\n    "signs": "%s",\n    "w": %s\n  }'
+        ) % (*fields, r["signs"], ints(r["w"]))
+        lead = ",\n  "
+    yield "[]\n" if lead == "[\n  " else "\n]\n"
 
 
 def _parse_ks(raw: str, n: int) -> list[int]:
@@ -66,21 +99,19 @@ def _parse_ks(raw: str, n: int) -> list[int]:
 
 def cmd_regions(args) -> int:
     spec = build_arrangement(args.n, args.k)
-    pairs = enumerate_regions(spec)
-    if args.format == "json":
-        records = [region_record(spec, region, label) for region, label in pairs]
-        _emit(_dump_json(records), args.out)
-    elif args.format == "csv":
-        rows = [",".join(map(str, label.entries)) for _, label in pairs]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:  # text
-        lines = []
-        for region, label in pairs:
-            record = region_record(spec, region, label)
-            lines.append(
-                f"{record['signs']}  w={''.join(map(str, record['w']))}  label={label}"
+    check_budget(spec.n, "region enumeration")
+    with _opened(args.out, sys.stdout) as out:
+        pairs = enumerate_regions(spec)
+        if args.format == "json":
+            out.writelines(_regions_json(region_record(spec, r, label) for r, label in pairs))
+        elif args.format == "csv":
+            out.writelines(",".join(map(str, label.entries)) + "\n" for _, label in pairs)
+        else:  # text
+            out.writelines(
+                f"{region.sign_string()}  w={''.join(map(str, describe(spec, region).w.images))}"
+                f"  label={label}\n"
+                for region, label in pairs
             )
-        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -116,10 +147,11 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 2:
         raise ValueError(f"--n-max={args.n_max} must be >= 2")
-    merged = verify_gate(args.n_max)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(merged))
+    _check_gate(args.n_max)
+    with _opened(args.json) as report:
+        merged = verify_gate(args.n_max)
+        if report:
+            report.write(_dump_json(merged))
     for cell in merged["cells"]:
         status = "pass" if cell["pass"] else "FAIL"
         counted = ", ".join(f"{name}={num}" for name, num in sorted(cell["counts"].items()))

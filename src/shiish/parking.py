@@ -126,14 +126,12 @@ def _tail_order(vals: Sequence[int], k: int) -> list[int]:
     return [*range(1, k), *(p + 1 for p in tail)]
 
 
-def _k_partial(vals: Sequence[int], k: int) -> Optional[tuple[list[int], list[int]]]:
-    """(pi, Z) when the raw word is k-partial, else None.
+def _sorted_centre(vals: Sequence[int], k: int) -> Optional[tuple[list[int], list[int]]]:
+    """(pi, Z) when Z holds 1, else None; a raw word is k-partial iff it also parks its tail.
 
     pi is the `sort_tail` permutation and Z the centre of the sorted-tail
     word, descending: the two ingredients of the witness.
     """
-    if not _parks_tail(vals, k):
-        return None
     pi = _tail_order(vals, k)
     z_members = _centre([vals[p - 1] for p in pi])
     if not z_members or z_members[-1] != 1:  # descending: 1 comes last
@@ -144,7 +142,7 @@ def _k_partial(vals: Sequence[int], k: int) -> Optional[tuple[list[int], list[in
 def is_k_partial(a: Word, k: int) -> bool:
     """True when a parks all of [k, n] and the sorted-tail word has 1 in its centre."""
     check_nk(a.n, k)
-    return _k_partial(a.values, k) is not None
+    return _parks_tail(a.values, k) and _sorted_centre(a.values, k) is not None
 
 
 def sigma_conditions_hold(a: Word, k: int, sigma: Permutation) -> bool:
@@ -184,8 +182,8 @@ def sigma_characterization(a: Word, k: int) -> Optional[Permutation]:
     tau = (Z descending, B ascending, C descending) and returns pi o tau.
     """
     check_nk(a.n, k)
-    found = _k_partial(a.values, k)
-    if found is None:
+    found = _parks_tail(a.values, k) and _sorted_centre(a.values, k)
+    if not found:
         return None
     images = _witness(k, *found)
     if not _witness_holds(a.values, k, images):

@@ -26,8 +26,8 @@ from .arrangement import build_arrangement, enumerate_regions
 from .core import Word, check_budget, compose, size_budget
 from .graphs import _burn, _subset_parking, build_gkn, build_rooted, dfs_burn
 from .parking import (
-    _k_partial,
     _parks_tail,
+    _sorted_centre,
     _witness,
     _witness_holds,
     centre,
@@ -75,6 +75,7 @@ def _word_sets(n: int, k: int, with_subsets: bool):
     Per word the burn runs once, and tail parking, the sorted tail and its
     centre are computed once: "definition" is k-partiality, and "sigma"
     holds the words whose witness passes the explicit condition check.
+    Last comes the number of words that park the tail.
     """
     rooted = build_rooted(n, k)
     subset_parks = _subset_parking(build_gkn(n, k)) if with_subsets else None
@@ -82,18 +83,22 @@ def _word_sets(n: int, k: int, with_subsets: bool):
     definition = set()
     sigma = set()
     subsets = set()
+    tail_parkers = 0
     for vals in product(range(1, n + 1), repeat=n):
         if len(_burn(rooted, vals)[0]) == n + 1:
             burning.add(vals)
         if subset_parks is not None and subset_parks(vals):
             subsets.add(vals)
-        found = _k_partial(vals, k)
+        if not _parks_tail(vals, k):
+            continue
+        tail_parkers += 1
+        found = _sorted_centre(vals, k)
         if found is None:
             continue
         definition.add(vals)
         if _witness_holds(vals, k, _witness(k, *found)):
             sigma.add(vals)
-    return burning, definition, sigma, subsets
+    return burning, definition, sigma, subsets, tail_parkers
 
 
 def _sample(values, limit: int = 10) -> list[list[int]]:
@@ -108,13 +113,13 @@ def cross_validate(n: int, k: int) -> EquivalenceReport:
     compares the other four.
     """
     check_budget(n, "cross-validation")
-    return _cell(n, k, _region_labels(n, k)[1])
+    return _cell(n, k, _region_labels(n, k)[1])[0]
 
 
-def _cell(n: int, k: int, label_set: frozenset) -> EquivalenceReport:
-    """`cross_validate` against an already enumerated label set."""
+def _cell(n: int, k: int, label_set: frozenset) -> tuple[EquivalenceReport, int]:
+    """`cross_validate` against an enumerated label set, plus the cell's tail-parker count."""
     with_subsets = n < size_budget()
-    burning, definition, sigma, subsets = _word_sets(n, k, with_subsets)
+    burning, definition, sigma, subsets, tail_parkers = _word_sets(n, k, with_subsets)
 
     named = {
         "labels": label_set,
@@ -140,7 +145,7 @@ def _cell(n: int, k: int, label_set: frozenset) -> EquivalenceReport:
         )
     expected = (n + 1) ** (n - 1)
     passed = not mismatches and counts["labels"] == expected
-    return EquivalenceReport(n, k, counts, mismatches, passed)
+    return EquivalenceReport(n, k, counts, mismatches, passed), tail_parkers
 
 
 def _check(name: str, expected, computed) -> dict:
@@ -231,26 +236,24 @@ def count_sweep(n_max: int) -> dict:
 
     Tail-parker counts come from a single brute-force pass over [n]^n and
     are matched against the closed form.  n_max is refused above the size
-    budget; region counts are enumerated only for n below it (at n = 6 the
-    closure search takes about two seconds per k, so the default budget
-    stops them at n = 5).
+    budget; region counts are enumerated only for n below it.
     """
     if n_max < 2:
         raise ValueError(f"n_max={n_max} must be >= 2")
     check_budget(n_max, "count sweep")
-    return _counts(n_max, _region_labels)
+    tails = {
+        (n, k): sum(_parks_tail(vals, k) for vals in product(range(1, n + 1), repeat=n))
+        for n in range(2, n_max + 1)
+        for k in range(2, n + 1)
+    }
+    return _counts(n_max, _region_labels, tails)
 
 
-def _counts(n_max: int, labels: _RegionLabels) -> dict:
-    """`count_sweep` with the region counts taken from `labels`."""
+def _counts(n_max: int, labels: _RegionLabels, tails: dict[tuple[int, int], int]) -> dict:
+    """`count_sweep` with region counts from `labels` and tail-parker counts from `tails`."""
     regions_below = size_budget()
     cells = []
     for n in range(2, n_max + 1):
-        brute = {k: 0 for k in range(2, n + 1)}
-        for vals in product(range(1, n + 1), repeat=n):
-            for k in range(2, n + 1):
-                if _parks_tail(vals, k):
-                    brute[k] += 1
         for k in range(2, n + 1):
             region_count = labels(n, k)[0] if n < regions_below else None
             formula = count_tail_parkers(n, k)
@@ -262,12 +265,20 @@ def _counts(n_max: int, labels: _RegionLabels) -> dict:
                     "regions_expected": (n + 1) ** (n - 1),
                     "regions_match": region_count is None or region_count == (n + 1) ** (n - 1),
                     "tail_parkers_formula": formula,
-                    "tail_parkers_brute": brute[k],
-                    "tail_parkers_match": formula == brute[k],
+                    "tail_parkers_brute": tails[n, k],
+                    "tail_parkers_match": formula == tails[n, k],
                 }
             )
     passed = all(c["regions_match"] and c["tail_parkers_match"] for c in cells)
     return {"cells": cells, "pass": passed}
+
+
+def _check_gate(n_max: int) -> None:
+    """The refusals of `verify_gate`, which callers may also make before opening output."""
+    if n_max < 2:
+        raise ValueError(f"n_max={n_max} must be >= 2")
+    check_budget(n_max, "verification")
+    check_budget(4, "worked-example replay")
 
 
 def verify_gate(n_max: int) -> dict:
@@ -279,17 +290,12 @@ def verify_gate(n_max: int) -> dict:
     calls.  Refused, before any work, above the size budget or when the
     budget is below the worked examples' n = 4.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max={n_max} must be >= 2")
-    check_budget(n_max, "verification")
-    check_budget(4, "worked-example replay")
+    _check_gate(n_max)
     labels = functools.cache(_region_labels)
     tables = _tables(labels)
-    cells = [
-        _cell(n, k, labels(n, k)[1]).to_json()
-        for n in range(2, n_max + 1)
-        for k in range(2, n + 1)
-    ]
-    counts = _counts(n_max, labels)
+    every = [(n, k) for n in range(2, n_max + 1) for k in range(2, n + 1)]
+    per_cell = {(n, k): _cell(n, k, labels(n, k)[1]) for n, k in every}
+    cells = [report.to_json() for report, _ in per_cell.values()]
+    counts = _counts(n_max, labels, {nk: tails for nk, (_, tails) in per_cell.items()})
     passed = all(c["pass"] for c in cells) and tables["pass"] and counts["pass"]
     return {"cells": cells, "tables": tables, "counts": counts, "pass": passed}

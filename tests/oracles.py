@@ -7,12 +7,25 @@ deliberately avoiding the code paths under test.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
+from math import inf
+from typing import Iterable, Optional
 
 import numpy as np
 
-from shiish import Permutation, Word, all_words, build_gkn, build_rooted, is_g_parking_bruteforce
-from shiish.arrangement import BELOW
+from shiish import (
+    Label,
+    Permutation,
+    Word,
+    all_words,
+    base_region,
+    build_gkn,
+    build_rooted,
+    check_budget,
+    is_g_parking_bruteforce,
+)
+from shiish.arrangement import ABOVE, BELOW, Region, _edge, _increment_index
 from shiish.parking import sigma_conditions_hold
 
 
@@ -145,6 +158,115 @@ def feasible_by_bellman_ford(spec, assigned) -> bool:
     return all(dist[u] + wgt >= dist[v] for u, v, wgt in edges)
 
 
+def closure_by_floyd_warshall(
+    n: int, edges: Iterable[tuple[int, int, int]]
+) -> Optional[list[list]]:
+    """Closed DBM of the `_edge`s (scale n + 1) of a sign assignment, or None if infeasible.
+
+    Only the tightest bound per ordered pair is kept, so a simple cycle has
+    at most n edges; with scale = n + 1 a cycle of strict constraints is
+    contradictory exactly when its scaled weight is negative (CLRS 24.4).
+    Floyd-Warshall leaves in D[u][v] the tightest implied bound on
+    X_v - X_u; a negative diagonal entry means infeasible.
+    """
+    dbm = [[inf] * n for _ in range(n)]
+    for i in range(n):
+        dbm[i][i] = 0
+    for u, v, w in edges:
+        if w < dbm[u][v]:
+            dbm[u][v] = w
+    nodes = range(n)
+    for m in nodes:
+        row_m = dbm[m]
+        for row in dbm:
+            via = row[m]
+            for j in nodes:
+                alt = via + row_m[j]
+                if alt < row[j]:
+                    row[j] = alt
+    if any(dbm[i][i] < 0 for i in nodes):
+        return None
+    return dbm
+
+
+def enumerate_regions_by_walls(spec) -> list[tuple[Region, Label]]:
+    """All chambers with their labels, by wall-crossing search from the base chamber.
+
+    Each dequeued sign vector gets one DBM closure.  Its witness, the
+    virtual-source potential X_i = min(0, min_j D[j][i]) over scale n + 1,
+    is checked in integers by the Region constructor.  Per
+    pair (p, q) only the one or two hyperplanes bounding the interval of
+    x_p - x_q can be walls; a bound of weight w on edge u -> v is a wall
+    exactly when no path through a third coordinate implies it, i.e.
+    D[u][m] + D[m][v] > w for every m other than u and v.  Crossing a wall
+    away from the base side adds the hyperplane's increment to the label,
+    crossing back subtracts it.  Output is sorted by sign vector, so the
+    search order never shows.  Refused above the size budget.
+    """
+    check_budget(spec.n, "region enumeration")
+    n = spec.n
+    scale = n + 1
+    base_signs = base_region(spec).signs
+    hyperplanes = spec.hyperplanes
+    edges = [(_edge(hp, BELOW, scale), _edge(hp, ABOVE, scale)) for hp in hyperplanes]
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for pos, hp in enumerate(hyperplanes):
+        by_pair.setdefault((hp.p, hp.q), []).append((hp.c, pos))
+
+    def wall(pos: int, side: int):
+        u, v, w = edges[pos][side]
+        return pos, u, v, w, tuple(m for m in range(n) if m not in (u, v))
+
+    # Per pair: its hyperplanes in offset order and, indexed by how many of
+    # them the region is above, the at most two that bound x_p - x_q.
+    pairs = []
+    for planes in by_pair.values():
+        planes = [pos for _, pos in sorted(planes)]
+        bounds = (
+            [(wall(planes[0], BELOW),)]
+            + [(wall(planes[t - 1], ABOVE), wall(planes[t], BELOW)) for t in range(1, len(planes))]
+            + [(wall(planes[-1], ABOVE),)]
+        )
+        pairs.append((planes, bounds))
+    increment = [_increment_index(hp) - 1 for hp in hyperplanes]
+
+    labels: dict[tuple[int, ...], tuple[int, ...]] = {base_signs: (1,) * n}
+    regions: dict[tuple[int, ...], Region] = {}
+    queue = deque([base_signs])
+    while queue:
+        signs = queue.popleft()
+        dbm = closure_by_floyd_warshall(n, map(tuple.__getitem__, edges, signs))
+        if dbm is None:
+            raise ValueError(f"sign vector {signs} is infeasible")
+        regions[signs] = Region(spec, signs, tuple(map(min, zip(*dbm))), scale)
+        label = labels[signs]
+        for planes, bounds in pairs:
+            for pos, u, v, w, others in bounds[sum(map(signs.__getitem__, planes))]:
+                row_u = dbm[u]
+                for m in others:
+                    if row_u[m] + dbm[m][v] <= w:
+                        break
+                else:
+                    flipped = signs[:pos] + (1 - signs[pos],) + signs[pos + 1 :]
+                    if flipped in labels:
+                        continue
+                    idx = increment[pos]
+                    delta = 1 if signs[pos] == base_signs[pos] else -1
+                    labels[flipped] = label[:idx] + (label[idx] + delta,) + label[idx + 1 :]
+                    queue.append(flipped)
+    return [(regions[s], Label(labels[s])) for s in sorted(regions)]
+
+
+def label_direct(spec, region: Region) -> Label:
+    """Label from scratch: all-ones plus one increment per separating hyperplane."""
+    base_signs = base_region(spec).signs
+    entries = [1] * spec.n
+    for s, b, hp in zip(region.signs, base_signs, spec.hyperplanes):
+        if s != b:
+            entries[_increment_index(hp) - 1] += 1
+    return Label(tuple(entries))
+
+
 def burn_by_recursion(g, values) -> tuple[list, list, list]:
     """The burn in its textbook recursive form: (burnt, tree, dampened)."""
     counts = [0, *values]
@@ -254,13 +376,17 @@ def word_sets_by_definition(n: int, k: int):
     The per-word sweep that the harness ran before its fused pass: validated
     words, the recursive burn, the parking run with the subset-union centre,
     the witness built from permutations and checked against its conditions,
-    and the 2**n subset definition.
+    and the 2**n subset definition.  Last comes the number of words whose
+    parking run parks every driver in [k, n].
     """
     rooted = build_rooted(n, k)
     graph = build_gkn(n, k)
     burning, definition, sigma, subsets = set(), set(), set(), set()
+    tail = set(range(k, n + 1))
+    tail_parkers = 0
     for word in all_words(n):
         vals = word.values
+        tail_parkers += tail <= run_parking(word).parked_set
         if len(burn_by_recursion(rooted, vals)[0]) == n + 1:
             burning.add(vals)
         if is_k_partial_by_definition(word, k):
@@ -269,4 +395,4 @@ def word_sets_by_definition(n: int, k: int):
                 sigma.add(vals)
         if is_g_parking_bruteforce(graph, word):
             subsets.add(vals)
-    return burning, definition, sigma, subsets
+    return burning, definition, sigma, subsets, tail_parkers

@@ -9,7 +9,7 @@ import random
 import time
 from functools import lru_cache
 
-from oracles import centre_oracle_masks, members_mask, run_parking
+from oracles import centre_oracle_masks, label_direct, members_mask, run_parking
 from shiish import (
     Permutation,
     Word,
@@ -23,7 +23,6 @@ from shiish import (
     describe,
     dfs_burn,
     enumerate_regions,
-    label_direct,
     label_from_description,
     parks_all_tail,
     sigma_characterization,

@@ -1,11 +1,12 @@
-"""Hyperplane lists, feasibility, region enumeration, and the three labellings."""
+"""Hyperplane lists, feasibility, region enumeration, and the two labellings."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import feasible_by_bellman_ford
+from oracles import enumerate_regions_by_walls, feasible_by_bellman_ford, label_direct
 
 from shiish import (
     BudgetError,
@@ -18,7 +19,6 @@ from shiish import (
     enumerate_regions,
     is_feasible,
     is_k_partial,
-    label_direct,
     label_from_description,
     region_record,
 )
@@ -244,11 +244,35 @@ def test_table_families_and_footnote_label():
     assert "2313" in _label_strings(build_arrangement(4, 3))
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
+def test_enumeration_matches_the_wall_crossing_oracle(n, k):
+    # signs, label, witness point and scale, in the same order
+    spec = build_arrangement(n, k)
+
+    def full(pairs):
+        return [(r.signs, label, r.point, r.scale) for r, label in pairs]
+
+    assert full(enumerate_regions(spec)) == full(enumerate_regions_by_walls(spec))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 5) for k in range(2, n + 1)])
+def test_leaves_are_the_bellman_ford_feasible_sign_vectors(n, k):
+    # every total sign vector (at most 2^12 of them) against the oracle
+    spec = build_arrangement(n, k)
+    feasible = {
+        signs
+        for signs in itertools.product((BELOW, ABOVE), repeat=len(spec.hyperplanes))
+        if feasible_by_bellman_ford(spec, enumerate(signs))
+    }
+    assert {region.signs for region, _ in enumerate_regions(spec)} == feasible
+
+
 @pytest.mark.parametrize(
     "n, k", [(n, k) for n in range(2, 5) for k in range(2, n + 1)] + [(5, 3)]
 )
 def test_walls_match_bellman_ford_flips(n, k):
-    # the neighbors the search found are exactly the feasible single flips
+    # a region's walls are the hyperplanes whose single flip is feasible,
+    # and each such flip is again a region: the set is closed under crossing
     spec = build_arrangement(n, k)
     found = {region.signs for region, _ in enumerate_regions(spec)}
     for signs in found:
@@ -256,6 +280,20 @@ def test_walls_match_bellman_ford_flips(n, k):
         for pos in range(len(signs)):
             flipped = signs[:pos] + (1 - signs[pos],) + signs[pos + 1 :]
             assert feasible_by_bellman_ford(spec, enumerate(flipped)) == (flipped in found)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a self-referencing search closure would keep its results alive until
+    # a full collection; the explicit stack leaves nothing to collect
+    spec = build_arrangement(4, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        pairs = enumerate_regions(spec)
+        del pairs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_labels_are_k_partial_words():
@@ -267,7 +305,8 @@ def test_labels_are_k_partial_words():
 
 # ------------------------------------------------------- label cross-checks
 
-def test_three_labellings_agree():
+def test_search_and_description_labellings_agree():
+    # label_direct restates the search's label rule as a test oracle
     for n in range(2, 5):
         for k in range(2, n + 1):
             spec = build_arrangement(n, k)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import shiish
-from shiish import verify
+from shiish import build_arrangement, cli, enumerate_regions, region_record, verify
 from shiish.cli import main
 
 
@@ -33,6 +33,19 @@ def test_regions_json_records(capsys):
     records = json.loads(out)
     assert len(records) == 125
     assert set(records[0]) == {"signs", "w", "H", "I", "label", "diagram"}
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
+def test_region_writer_matches_json_dumps(n, k):
+    spec = build_arrangement(n, k)
+    records = [region_record(spec, region, label) for region, label in enumerate_regions(spec)]
+    expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert "".join(cli._regions_json(records)) == expected
+    assert "".join(cli._regions_json(iter(records))) == expected
+
+
+def test_region_writer_on_no_records():
+    assert "".join(cli._regions_json([])) == json.dumps([], indent=2, sort_keys=True) + "\n"
 
 
 def test_regions_budget_refusal(capsys):
@@ -244,6 +257,39 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, str(target))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("regions", "--n", "6", "--k", "3", "--out"), ("verify", "--n-max", "6", "--json")]
+)
+def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the output path was opened")
+
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    monkeypatch.setattr(cli, "enumerate_regions", must_not_run)
+    monkeypatch.setattr(cli, "verify_gate", must_not_run)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("regions", "--n", "4", "--k", "2", "--out"),
+        ("verify", "--n-max", "4", "--json"),
+        ("verify", "--n-max", "3", "--json"),  # the worked examples need n = 4
+    ],
+)
+def test_budget_refusal_leaves_no_output_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("SHIISH_MAX_N", "3")
+    target = tmp_path / "x.json"
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, out) == (2, "")
+    assert "refused" in err
+    assert not target.exists()
 
 
 def test_cli_imports_only_the_standard_library_and_no_fractions():

@@ -21,6 +21,22 @@ GOLDEN = [
         "2a3358a73d1c1dd910ed20e5ef2f42385f55316a21e15039cf8411875148e2bf",
     ),
     (
+        ["regions", "--n", "5", "--k", "2"],
+        "c2ed67396b87694fc7f663b73e2394655d4d25eb5af15ae930bb4422af93354a",
+    ),
+    (
+        ["regions", "--n", "5", "--k", "3"],
+        "692c1d11f4d0913b24f41f973b67c36951a98e887ea1911072c4bfb3b6ecc9ce",
+    ),
+    (
+        ["regions", "--n", "5", "--k", "4"],
+        "3b7a96de55b03ae095919887add5ff0562c25c6fdbbca3b544dd352fc40420e9",
+    ),
+    (
+        ["regions", "--n", "5", "--k", "5"],
+        "1158ee0410d02b75b3b43ce5ae032a2c1c499259eee7fe8e710b262ca6defae2",
+    ),
+    (
         ["regions", "--n", "4", "--k", "2", "--format", "csv"],
         "ae17032073ba50a6aa38695895ee0a63aafac31d9a71e310d1255691bb5a2f67",
     ),

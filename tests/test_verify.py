@@ -13,6 +13,7 @@ from shiish import (
     cross_validate,
     dfs_burn,
     is_k_partial,
+    parking,
     parks_all_tail,
     reproduce_tables,
     verify,
@@ -116,7 +117,7 @@ def test_count_sweep_rejects_empty_range():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fused_sweep_matches_the_per_word_oracles(n):
-    # burning, definition, sigma and subsets, set for set
+    # burning, definition, sigma and subsets, set for set, and the tail parkers
     for k in range(2, n + 1):
         assert _word_sets(n, k, True) == word_sets_by_definition(n, k)
 
@@ -151,6 +152,25 @@ def test_verify_enumerates_each_arrangement_once_per_run(monkeypatch, capsys):
     calls.clear()
     assert reproduce_tables()["pass"]
     assert calls == Counter([(3, 3), (4, 2), (4, 3), (4, 4)])
+
+
+def test_gate_counts_tail_parkers_in_the_cell_pass(monkeypatch):
+    # one tail-parking test per word and k, and the same count table as the
+    # standalone brute-force sweep
+    calls = Counter()
+    parks_tail = verify._parks_tail
+
+    def counting(vals, k):
+        calls[len(vals), k] += 1
+        return parks_tail(vals, k)
+
+    for module in (verify, parking):
+        monkeypatch.setattr(module, "_parks_tail", counting)
+    report = verify_gate(4)
+    cells = [(n, k) for n in range(2, 5) for k in range(2, n + 1)]
+    assert [calls[n, k] for n, k in cells] == [n**n for n, _ in cells]
+    monkeypatch.undo()
+    assert report["counts"] == count_sweep(4)
 
 
 def test_verify_gate_refuses_before_any_work(monkeypatch):
