@@ -75,9 +75,6 @@ class ArrangementSpec:
     def index_of(self, p: int, q: int, c: int) -> int:
         return self._index[(p, q, c)]
 
-    def has_hyperplane(self, p: int, q: int, c: int) -> bool:
-        return (p, q, c) in self._index
-
     def max_offset(self, i: int, j: int) -> int:
         """Largest positive offset c with x_i - x_j = c in the arrangement, else 0."""
         return self._max_offset.get((i, j), 0)

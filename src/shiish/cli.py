@@ -22,7 +22,7 @@ from .arrangement import build_arrangement, describe, enumerate_regions, region_
 from .core import BudgetError, Word, _is_ascii_digits, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
-from .verify import _check_gate, count_sweep, verify_gate
+from .verify import _check_gate, _check_n_max, count_sweep, verify_gate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,8 +145,6 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max < 2:
-        raise ValueError(f"--n-max={args.n_max} must be >= 2")
     _check_gate(args.n_max)
     with _opened(args.json) as report:
         merged = verify_gate(args.n_max)
@@ -163,19 +161,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    sweep = count_sweep(args.n_max)
-    if args.format == "json":
-        _emit(_dump_json(sweep), args.out)
-        return EXIT_OK
-    lines = [f"{'n':>3} {'k':>3} {'regions':>8} {'tail formula':>13} {'tail brute':>11} ok"]
-    for cell in sweep["cells"]:
-        regions = "-" if cell["regions"] is None else str(cell["regions"])
-        ok = "yes" if cell["regions_match"] and cell["tail_parkers_match"] else "NO"
-        lines.append(
-            f"{cell['n']:>3} {cell['k']:>3} {regions:>8} "
-            f"{cell['tail_parkers_formula']:>13} {cell['tail_parkers_brute']:>11} {ok}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    _check_n_max(args.n_max, "count sweep")
+    with _opened(args.out, sys.stdout) as out:
+        sweep = count_sweep(args.n_max)
+        if args.format == "json":
+            out.write(_dump_json(sweep))
+            return EXIT_OK
+        out.write(f"{'n':>3} {'k':>3} {'regions':>8} {'tail formula':>13} {'tail brute':>11} ok\n")
+        for cell in sweep["cells"]:
+            ok = "yes" if cell["regions_match"] and cell["tail_parkers_match"] else "NO"
+            out.write(
+                f"{cell['n']:>3} {cell['k']:>3} {cell['regions']:>8} "
+                f"{cell['tail_parkers_formula']:>13} {cell['tail_parkers_brute']:>11} {ok}\n"
+            )
     return EXIT_OK
 
 

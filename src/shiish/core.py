@@ -24,9 +24,8 @@ class BudgetError(ValueError):
 def size_budget() -> int:
     """The largest n for which exponential sweeps run: SHIISH_MAX_N, default 6.
 
-    Regions, [n]^n word streams and the cross-validation run for n up to the
-    budget; the two costlier parts, the 2**n subset sweep and the region
-    column of the count table, run only for n below it.
+    It decides only what is refused: a sweep for n up to the budget runs
+    every one of its checks, so no output depends on it.
     """
     raw = os.environ.get(ENV_MAX_N)
     if raw is None:

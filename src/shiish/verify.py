@@ -7,8 +7,9 @@ witness-permutation words must coincide; their common size is
 count law as a machine-checkable report.
 
 Every sweep runs in this one process and is refused above the size budget
-(`SHIISH_MAX_N`, default 6; see `core.size_budget`).  The 2**n subset sweep
-and the region column of the count table run only for n below the budget.
+(`SHIISH_MAX_N`, default 6; see `core.check_budget`).  The budget decides
+only what is refused: every n it admits gets every check, so a report's
+content never depends on it.
 
 `verify_gate` runs all of it as one report, enumerating each arrangement
 once.  Each cell sweeps [n]^n once, over raw tuples, through the private
@@ -23,7 +24,7 @@ from itertools import product
 from typing import Callable
 
 from .arrangement import build_arrangement, enumerate_regions
-from .core import Word, check_budget, compose, size_budget
+from .core import Word, check_budget, compose
 from .graphs import _burn, _subset_parking, build_gkn, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
@@ -69,7 +70,7 @@ def _region_labels(n: int, k: int) -> tuple[int, frozenset]:
     return len(pairs), frozenset(label.entries for _, label in pairs)
 
 
-def _word_sets(n: int, k: int, with_subsets: bool):
+def _word_sets(n: int, k: int):
     """One pass over the raw tuples of [n]^n for the four word characterizations.
 
     Per word the burn runs once, and tail parking, the sorted tail and its
@@ -78,7 +79,7 @@ def _word_sets(n: int, k: int, with_subsets: bool):
     Last comes the number of words that park the tail.
     """
     rooted = build_rooted(n, k)
-    subset_parks = _subset_parking(build_gkn(n, k)) if with_subsets else None
+    subset_parks = _subset_parking(build_gkn(n, k))
     burning = set()
     definition = set()
     sigma = set()
@@ -87,7 +88,7 @@ def _word_sets(n: int, k: int, with_subsets: bool):
     for vals in product(range(1, n + 1), repeat=n):
         if len(_burn(rooted, vals)[0]) == n + 1:
             burning.add(vals)
-        if subset_parks is not None and subset_parks(vals):
+        if subset_parks(vals):
             subsets.add(vals)
         if not _parks_tail(vals, k):
             continue
@@ -106,35 +107,29 @@ def _sample(values, limit: int = 10) -> list[list[int]]:
 
 
 def cross_validate(n: int, k: int) -> EquivalenceReport:
-    """Compare the five characterizations over all of [n]^n.
-
-    Refused above the size budget.  The subset sweep costs 2**n per word
-    and runs only for n below the budget; at the budget itself the report
-    compares the other four.
-    """
+    """Compare the five characterizations over all of [n]^n; refused above the size budget."""
     check_budget(n, "cross-validation")
     return _cell(n, k, _region_labels(n, k)[1])[0]
 
 
 def _cell(n: int, k: int, label_set: frozenset) -> tuple[EquivalenceReport, int]:
     """`cross_validate` against an enumerated label set, plus the cell's tail-parker count."""
-    with_subsets = n < size_budget()
-    burning, definition, sigma, subsets, tail_parkers = _word_sets(n, k, with_subsets)
+    burning, definition, sigma, subsets, tail_parkers = _word_sets(n, k)
 
     named = {
         "labels": label_set,
         "burning": burning,
-        "subsets": subsets if with_subsets else None,
+        "subsets": subsets,
         "definition": definition,
         "sigma": sigma,
     }
-    counts = {name: len(s) for name, s in named.items() if s is not None}
+    counts = {name: len(s) for name, s in named.items()}
 
     mismatches = []
     reference = named["labels"]
     for name in CHARACTERIZATIONS[1:]:
         other = named[name]
-        if other is None or other == reference:
+        if other == reference:
             continue
         mismatches.append(
             {
@@ -234,13 +229,12 @@ def _tables(labels: _RegionLabels) -> dict:
 def count_sweep(n_max: int) -> dict:
     """Region counts and tail-parker counts for 2 <= n <= n_max, every k.
 
-    Tail-parker counts come from a single brute-force pass over [n]^n and
-    are matched against the closed form.  n_max is refused above the size
-    budget; region counts are enumerated only for n below it.
+    Region counts are enumerated and matched against (n + 1)**(n - 1);
+    tail-parker counts come from a single brute-force pass over [n]^n and
+    are matched against the closed form.  Refused when n_max is below 2 or
+    above the size budget.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max={n_max} must be >= 2")
-    check_budget(n_max, "count sweep")
+    _check_n_max(n_max, "count sweep")
     tails = {
         (n, k): sum(_parks_tail(vals, k) for vals in product(range(1, n + 1), repeat=n))
         for n in range(2, n_max + 1)
@@ -251,11 +245,10 @@ def count_sweep(n_max: int) -> dict:
 
 def _counts(n_max: int, labels: _RegionLabels, tails: dict[tuple[int, int], int]) -> dict:
     """`count_sweep` with region counts from `labels` and tail-parker counts from `tails`."""
-    regions_below = size_budget()
     cells = []
     for n in range(2, n_max + 1):
         for k in range(2, n + 1):
-            region_count = labels(n, k)[0] if n < regions_below else None
+            region_count = labels(n, k)[0]
             formula = count_tail_parkers(n, k)
             cells.append(
                 {
@@ -263,7 +256,7 @@ def _counts(n_max: int, labels: _RegionLabels, tails: dict[tuple[int, int], int]
                     "k": k,
                     "regions": region_count,
                     "regions_expected": (n + 1) ** (n - 1),
-                    "regions_match": region_count is None or region_count == (n + 1) ** (n - 1),
+                    "regions_match": region_count == (n + 1) ** (n - 1),
                     "tail_parkers_formula": formula,
                     "tail_parkers_brute": tails[n, k],
                     "tail_parkers_match": formula == tails[n, k],
@@ -273,11 +266,16 @@ def _counts(n_max: int, labels: _RegionLabels, tails: dict[tuple[int, int], int]
     return {"cells": cells, "pass": passed}
 
 
+def _check_n_max(n_max: int, what: str) -> None:
+    """The refusals of a sweep over 2 <= n <= n_max: an empty range, or n_max above the budget."""
+    if n_max < 2:
+        raise ValueError(f"--n-max must be >= 2, got n_max={n_max}")
+    check_budget(n_max, what)
+
+
 def _check_gate(n_max: int) -> None:
     """The refusals of `verify_gate`, which callers may also make before opening output."""
-    if n_max < 2:
-        raise ValueError(f"n_max={n_max} must be >= 2")
-    check_budget(n_max, "verification")
+    _check_n_max(n_max, "verification")
     check_budget(4, "worked-example replay")
 
 

@@ -260,7 +260,12 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [("regions", "--n", "6", "--k", "3", "--out"), ("verify", "--n-max", "6", "--json")]
+    "argv",
+    [
+        ("regions", "--n", "6", "--k", "3", "--out"),
+        ("verify", "--n-max", "6", "--json"),
+        ("count", "--n-max", "6", "--out"),
+    ],
 )
 def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     def must_not_run(*args, **kwargs):
@@ -269,6 +274,7 @@ def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     monkeypatch.setattr(cli, "enumerate_regions", must_not_run)
     monkeypatch.setattr(cli, "verify_gate", must_not_run)
+    monkeypatch.setattr(cli, "count_sweep", must_not_run)
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, *argv, str(target))
     assert (code, out) == (1, "")
@@ -281,6 +287,7 @@ def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, mon
         ("regions", "--n", "4", "--k", "2", "--out"),
         ("verify", "--n-max", "4", "--json"),
         ("verify", "--n-max", "3", "--json"),  # the worked examples need n = 4
+        ("count", "--n-max", "4", "--out"),
     ],
 )
 def test_budget_refusal_leaves_no_output_file(tmp_path, capsys, monkeypatch, argv):
@@ -290,6 +297,24 @@ def test_budget_refusal_leaves_no_output_file(tmp_path, capsys, monkeypatch, arg
     assert (code, out) == (2, "")
     assert "refused" in err
     assert not target.exists()
+
+
+def test_outputs_do_not_depend_on_the_size_budget(tmp_path, capsys, monkeypatch):
+    # the budget decides what is refused, never what an admitted run writes
+    def outputs() -> tuple[str, bytes, str]:
+        report = tmp_path / "report.json"
+        assert main(["verify", "--n-max", "4", "--json", str(report)]) == 0
+        verify_out = capsys.readouterr().out
+        code, count_out, _ = run(capsys, "count", "--n-max", "4", "--format", "json")
+        assert code == 0
+        return verify_out, report.read_bytes(), count_out
+
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    default = outputs()
+    assert "subsets=125" in default[0]
+    for budget in ("4", "5", "6"):
+        monkeypatch.setenv("SHIISH_MAX_N", budget)
+        assert outputs() == default
 
 
 def test_cli_imports_only_the_standard_library_and_no_fractions():

@@ -66,7 +66,7 @@ GOLDEN = [
     ),
     (
         ["count", "--n-max", "6", "--format", "json"],
-        "e48fb7b4bcb045205f09b0c5e087ff7f5949aa4b06693ff246b9af1b634ad441",
+        "1ac3fb008ef71d10126293c4c6e6f3b6466a96c5b5c954607a1b5dec39c0c97c",
     ),
 ]
 

@@ -56,14 +56,11 @@ def test_cross_validate_json_schema():
     assert payload["counts"]["labels"] == 16
 
 
-def test_cross_validate_can_skip_subsets(monkeypatch):
-    # the subset sweep runs only for n below the size budget
+def test_cross_validate_runs_subsets_at_the_budget_itself(monkeypatch):
     monkeypatch.setenv("SHIISH_MAX_N", "3")
     report = cross_validate(3, 2)
-    assert "subsets" not in report.counts
+    assert report.counts["subsets"] == 16
     assert report.passed
-    monkeypatch.setenv("SHIISH_MAX_N", "4")
-    assert "subsets" in cross_validate(3, 2).counts
 
 
 def test_cross_validate_budget(monkeypatch):
@@ -101,11 +98,11 @@ def test_count_sweep_budget_and_region_cap(monkeypatch):
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
         count_sweep(7)
-    # region counts are enumerated only for n below the budget
+    # region counts are enumerated at the budget itself
     monkeypatch.setenv("SHIISH_MAX_N", "4")
     sweep = count_sweep(4)
     cells4 = [c for c in sweep["cells"] if c["n"] == 4]
-    assert all(c["regions"] is None for c in cells4)
+    assert [c["regions"] for c in cells4] == [125, 125, 125]
     assert sweep["pass"]
 
 
@@ -119,7 +116,7 @@ def test_count_sweep_rejects_empty_range():
 def test_fused_sweep_matches_the_per_word_oracles(n):
     # burning, definition, sigma and subsets, set for set, and the tail parkers
     for k in range(2, n + 1):
-        assert _word_sets(n, k, True) == word_sets_by_definition(n, k)
+        assert _word_sets(n, k) == word_sets_by_definition(n, k)
 
 
 def test_sigma_set_goes_through_the_witness_check(monkeypatch):
