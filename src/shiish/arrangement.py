@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional
 
 from .core import Label, Permutation, check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
-
-SignAssignment = Union[Mapping[int, int], Sequence[Optional[int]]]
 
 
 @dataclass(frozen=True)
@@ -68,12 +66,8 @@ class ArrangementSpec:
             (p, q, index.get((p, q, 0)), tuple(sorted(t for t in found if t[0] >= 1)))
             for (p, q), found in sorted(planes.items())
         )
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_max_offset", {(p, q): o[-1][0] for p, q, _, o in pairs if o})
-
-    def index_of(self, p: int, q: int, c: int) -> int:
-        return self._index[(p, q, c)]
 
     def max_offset(self, i: int, j: int) -> int:
         """Largest positive offset c with x_i - x_j = c in the arrangement, else 0."""
@@ -201,32 +195,6 @@ def _tighten(dbm: list[list], u: int, v: int, w: int) -> Optional[list[list]]:
 def _unconstrained(n: int) -> list[list]:
     """The closed DBM of no constraints: 0 on the diagonal, no bound elsewhere."""
     return [[0 if i == j else inf for j in range(n)] for i in range(n)]
-
-
-def _normalize_assignment(spec: ArrangementSpec, signs: SignAssignment) -> list[tuple[int, int]]:
-    if isinstance(signs, Mapping):
-        items = sorted(signs.items())
-    else:
-        items = [(pos, side) for pos, side in enumerate(signs) if side is not None]
-        if len(signs) > len(spec.hyperplanes):
-            raise ValueError("more signs than hyperplanes")
-    for pos, side in items:
-        if not 0 <= pos < len(spec.hyperplanes):
-            raise ValueError(f"hyperplane index {pos} out of range")
-        if side not in (BELOW, ABOVE):
-            raise ValueError(f"sign {side!r} is neither below (0) nor above (1)")
-    return items
-
-
-def is_feasible(spec: ArrangementSpec, signs: SignAssignment) -> bool:
-    """Does the (partial or total) strict sign assignment cut out a non-empty set?"""
-    scale = spec.n + 1
-    dbm: Optional[list[list]] = _unconstrained(spec.n)
-    for pos, side in _normalize_assignment(spec, signs):
-        dbm = _tighten(dbm, *_edge(spec.hyperplanes[pos], side, scale))
-        if dbm is None:
-            return False
-    return True
 
 
 def base_region(spec: ArrangementSpec) -> Region:

@@ -91,6 +91,7 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
 
 def _parse_ks(raw: str, n: int) -> list[int]:
     if raw == "all":
+        check_nk(n, 2)
         return list(range(2, n + 1))
     k = _ascii_int(raw)
     check_nk(n, k)
@@ -98,8 +99,9 @@ def _parse_ks(raw: str, n: int) -> list[int]:
 
 
 def cmd_regions(args) -> int:
+    check_nk(args.n, args.k)
+    check_budget(args.n, "region enumeration")
     spec = build_arrangement(args.n, args.k)
-    check_budget(spec.n, "region enumeration")
     with _opened(args.out, sys.stdout) as out:
         pairs = enumerate_regions(spec)
         if args.format == "json":

@@ -6,11 +6,9 @@ immutable; algorithms that mutate entries work on private copies.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 #: Environment variable holding the size budget: the largest n swept exhaustively.
 ENV_MAX_N = "SHIISH_MAX_N"
@@ -140,28 +138,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, image in enumerate(self.images, start=1):
-            inv[image - 1] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(image == i for i, image in enumerate(self.images, start=1))
-
 
 @dataclass(frozen=True)
 class Label:
@@ -201,12 +177,3 @@ def compose(a: Word, w: Permutation) -> Word:
         raise ValueError(f"dimension mismatch: word n={a.n}, permutation n={w.n}")
     vals = a.values
     return Word(tuple(vals[j - 1] for j in w.images))
-
-
-def all_words(n: int) -> Iterator[Word]:
-    """Yield all n**n words over [1, n] in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    check_budget(n, "word stream")
-    for vals in itertools.product(range(1, n + 1), repeat=n):
-        yield Word(vals)

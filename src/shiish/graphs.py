@@ -29,7 +29,6 @@ class MultiDiGraph:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         seen = set()
-        out: dict[int, list[tuple[int, int]]] = {u: [] for u in range(1, self.n + 1)}
         for u, v, mult in self.arcs:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"arc ({u}, {v}) outside [1, {self.n}]")
@@ -40,21 +39,6 @@ class MultiDiGraph:
             if (u, v) in seen:
                 raise ValueError(f"duplicate arc entry ({u}, {v})")
             seen.add((u, v))
-            out[u].append((v, mult))
-        object.__setattr__(self, "_out", out)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        for target, mult in self._out.get(u, ()):
-            if target == v:
-                return mult
-        return 0
-
-    def out_arcs(self, u: int) -> list[tuple[int, int]]:
-        """Outgoing (target, multiplicity) pairs of u."""
-        return list(self._out[u])
-
-    def total_arcs(self) -> int:
-        return sum(mult for _, _, mult in self.arcs)
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph."""
@@ -241,61 +225,29 @@ def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
     return Word(tuple(vals))
 
 
-def is_g_parking_bruteforce(g: MultiDiGraph, a: Word) -> bool:
-    """Membership straight from the definition, over all vertex subsets.
-
-    For every non-empty I subset of [n] some i in I must send at least
-    a[i] - 1 arcs (with multiplicity) out of I.
-    """
-    if a.n != g.n:
-        raise ValueError(f"dimension mismatch: word n={a.n}, graph n={g.n}")
-    n = g.n
-    check_budget(n, "subset sweep")
-    vals = a.values
-    out = [[] for _ in range(n + 1)]
-    for u, v, mult in g.arcs:
-        out[u].append((v, mult))
-    for mask in range(1, 1 << n):
-        found = False
-        for i in range(1, n + 1):
-            if not mask >> (i - 1) & 1:
-                continue
-            need = vals[i - 1] - 1
-            if need <= 0:
-                found = True
-                break
-            deg = 0
-            for v, mult in out[i]:
-                if not mask >> (v - 1) & 1:
-                    deg += mult
-                    if deg >= need:
-                        break
-            if deg >= need:
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
 def _subset_parking(g: MultiDiGraph) -> Callable[[Sequence[int]], bool]:
-    """The subset definition of `is_g_parking_bruteforce` as a table lookup.
+    """Membership by the subset definition, as a table lookup.
 
-    Subsets I of [n] are bit positions of one integer (bit I for the mask
-    I).  good[i-1][v] holds the non-empty I containing i with
-    outdeg_I(i) >= v - 1, so a word a is a parking function of g exactly
-    when the union of good[i-1][a[i]] over all i holds every non-empty I.
+    A word a is a parking function of g when every non-empty I subset of
+    [n] holds some i sending at least a[i] - 1 arcs (with multiplicity) out
+    of I.  Subsets I of [n] are bit positions of one integer (bit I for the
+    mask I).  good[i-1][v] holds the non-empty I containing i with
+    outdeg_I(i) >= v - 1, so a is a parking function of g exactly when the
+    union of good[i-1][a[i]] over all i holds every non-empty I.
     The table is built once per graph; each word costs n lookups.
     """
     n = g.n
     check_budget(n, "subset sweep")
+    out = [[] for _ in range(n + 1)]
+    for u, v, mult in g.arcs:
+        out[u].append((v, mult))
     good = []
     for i in range(1, n + 1):
         row = [0] * (n + 1)
         for mask in range(1, 1 << n):
             if not mask >> (i - 1) & 1:
                 continue
-            outdeg = sum(mult for v, mult in g.out_arcs(i) if not mask >> (v - 1) & 1)
+            outdeg = sum(mult for v, mult in out[i] if not mask >> (v - 1) & 1)
             for v in range(1, min(outdeg + 1, n) + 1):
                 row[v] |= 1 << mask
         good.append(row)

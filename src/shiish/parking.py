@@ -17,16 +17,7 @@ from .core import Permutation, Word, check_nk, compose
 
 def is_parking_function(a: Word) -> bool:
     """True when at least i entries are <= i, for every i in [1, n]."""
-    n = a.n
-    counts = [0] * (n + 1)
-    for v in a.values:
-        counts[v] += 1
-    seen = 0
-    for i in range(1, n + 1):
-        seen += counts[i]
-        if seen < i:
-            return False
-    return True
+    return _parks_tail(a.values, 1)
 
 
 def parks_all_tail(a: Word, k: int) -> bool:
@@ -70,9 +61,6 @@ class CentreResult:
 
     def __contains__(self, i: int) -> bool:
         return i in self.members
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.members)
 
 
 def centre(a: Word) -> CentreResult:
@@ -145,21 +133,13 @@ def is_k_partial(a: Word, k: int) -> bool:
     return _parks_tail(a.values, k) and _sorted_centre(a.values, k) is not None
 
 
-def sigma_conditions_hold(a: Word, k: int, sigma: Permutation) -> bool:
-    """Independent check of the two witness conditions for sigma.
+def _witness_holds(vals: Sequence[int], k: int, images: Sequence[int]) -> bool:
+    """The two witness conditions for sigma, over raw entries and raw images.
 
     Condition one: a[sigma(i)] <= i for every i in [1, a[1]] and for every
     i in [k, n] with sigma(i) >= k.  Condition two: sigma(i+1) < sigma(i)
     for every i in [1, a[1] - 1] with sigma(i) < k.
     """
-    check_nk(a.n, k)
-    if sigma.n != a.n:
-        raise ValueError("sigma has the wrong dimension")
-    return _witness_holds(a.values, k, sigma.images)
-
-
-def _witness_holds(vals: Sequence[int], k: int, images: Sequence[int]) -> bool:
-    """`sigma_conditions_hold` over raw entries and raw images."""
     n = len(vals)
     a1 = vals[0]
     for i in range(1, a1 + 1):

@@ -147,19 +147,13 @@ def _check(name: str, expected, computed) -> dict:
     return {"name": name, "expected": expected, "computed": computed, "pass": expected == computed}
 
 
-def reproduce_tables() -> dict:
+def _tables(labels: _RegionLabels) -> dict:
     """Re-derive every worked example as an expected-vs-computed report.
 
-    Mismatches are reported, never raised; the harness caller decides what
-    a failure means.  The examples enumerate regions up to n = 4, so the
-    replay is refused when the size budget is below that.
+    The label sets come from `labels`.  Mismatches are reported, never
+    raised; the caller decides what a failure means.  The examples
+    enumerate regions up to n = 4.
     """
-    check_budget(4, "worked-example replay")
-    return _tables(functools.cache(_region_labels))
-
-
-def _tables(labels: _RegionLabels) -> dict:
-    """`reproduce_tables` with the label sets taken from `labels`."""
 
     def label_strings(n: int, k: int) -> set[str]:
         return {"".join(map(str, entries)) for entries in labels(n, k)[1]}
@@ -282,8 +276,8 @@ def _check_gate(n_max: int) -> None:
 def verify_gate(n_max: int) -> dict:
     """The merged report of `shiish verify`: cells, worked examples, count laws.
 
-    Every cell with 2 <= k <= n <= n_max, `reproduce_tables` and
-    `count_sweep(n_max)`, with each arrangement enumerated once per call and
+    Every cell with 2 <= k <= n <= n_max, the worked examples (`_tables`)
+    and `count_sweep(n_max)`, with each arrangement enumerated once per call and
     its label set shared by the three parts.  Nothing is kept between
     calls.  Refused, before any work, above the size budget or when the
     budget is below the worked examples' n = 4.

@@ -10,23 +10,38 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from shiish import (
     Label,
+    MultiDiGraph,
     Permutation,
     Word,
-    all_words,
     base_region,
     build_gkn,
     build_rooted,
     check_budget,
-    is_g_parking_bruteforce,
 )
-from shiish.arrangement import ABOVE, BELOW, Region, _edge, _increment_index
-from shiish.parking import sigma_conditions_hold
+from shiish.arrangement import (
+    ABOVE,
+    BELOW,
+    Region,
+    _edge,
+    _increment_index,
+    _tighten,
+    _unconstrained,
+)
+
+
+def all_words(n: int) -> Iterator[Word]:
+    """Yield all n**n words over [1, n] in lexicographic order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_budget(n, "word stream")
+    for vals in itertools.product(range(1, n + 1), repeat=n):
+        yield Word(vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +135,84 @@ def members_mask(members) -> int:
     return out
 
 
+def witness_conditions_hold(a: Word, k: int, sigma: Permutation) -> bool:
+    """The two witness conditions for sigma, transcribed from their statement.
+
+    Condition one: a[sigma(i)] <= i for every i in [1, a[1]] and for every
+    i in [k, n] with sigma(i) >= k.  Condition two: sigma(i+1) < sigma(i)
+    for every i in [1, a[1] - 1] with sigma(i) < k.
+    """
+    n = a.n
+
+    def s(i: int) -> int:
+        return sigma.images[i - 1]
+
+    one = all(a[s(i)] <= i for i in range(1, a[1] + 1)) and all(
+        a[s(i)] <= i for i in range(k, n + 1) if s(i) >= k
+    )
+    two = all(s(i + 1) < s(i) for i in range(1, a[1]) if s(i) < k)
+    return one and two
+
+
 def sigma_exists_bruteforce(a: Word, k: int) -> bool:
     """Does any permutation satisfy the witness conditions?  Tries all of S_n."""
     for images in itertools.permutations(range(1, a.n + 1)):
-        if sigma_conditions_hold(a, k, Permutation(images)):
+        if witness_conditions_hold(a, k, Permutation(images)):
             return True
     return False
+
+
+def is_g_parking_bruteforce(g: MultiDiGraph, a: Word) -> bool:
+    """Membership straight from the definition, over all vertex subsets.
+
+    For every non-empty I subset of [n] some i in I must send at least
+    a[i] - 1 arcs (with multiplicity) out of I.
+    """
+    if a.n != g.n:
+        raise ValueError(f"dimension mismatch: word n={a.n}, graph n={g.n}")
+    n = g.n
+    check_budget(n, "subset sweep")
+    vals = a.values
+    out = [[] for _ in range(n + 1)]
+    for u, v, mult in g.arcs:
+        out[u].append((v, mult))
+    for mask in range(1, 1 << n):
+        found = False
+        for i in range(1, n + 1):
+            if not mask >> (i - 1) & 1:
+                continue
+            need = vals[i - 1] - 1
+            if need <= 0:
+                found = True
+                break
+            deg = 0
+            for v, mult in out[i]:
+                if not mask >> (v - 1) & 1:
+                    deg += mult
+                    if deg >= need:
+                        break
+            if deg >= need:
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def feasible_by_tightening(spec, assigned) -> bool:
+    """Is the strict system of (hyperplane index, side) pairs feasible?
+
+    The closure `enumerate_regions` keeps along a search path: `_tighten`
+    folded over the pairs' `_edge`s, in the order given, from the
+    unconstrained DBM.
+    """
+    scale = spec.n + 1
+    dbm = _unconstrained(spec.n)
+    for pos, side in assigned:
+        dbm = _tighten(dbm, *_edge(spec.hyperplanes[pos], side, scale))
+        if dbm is None:
+            return False
+    return True
 
 
 def feasible_by_bellman_ford(spec, assigned) -> bool:
@@ -360,14 +447,14 @@ def is_k_partial_by_definition(a: Word, k: int) -> bool:
 
 
 def witness_by_construction(a: Word, k: int) -> Permutation:
-    """pi o tau for a k-partial word, built from Permutation objects as stated."""
+    """pi o tau for a k-partial word, built as stated."""
     n = a.n
-    pi = Permutation((*range(1, k), *sorted(range(k, n + 1), key=lambda i: (-a[i], i))))
-    up = tuple(a[pi(i)] for i in range(1, n + 1))
+    pi = (*range(1, k), *sorted(range(k, n + 1), key=lambda i: (-a[i], i)))
+    up = tuple(a[j] for j in pi)
     z = centre_by_subsets(up)
     b_part = [i for i in range(1, k) if i not in z]
     c_part = [i for i in range(k, n + 1) if i not in z]
-    return pi.compose(Permutation((*z, *b_part, *reversed(c_part))))
+    return Permutation(tuple(pi[t - 1] for t in (*z, *b_part, *reversed(c_part))))
 
 
 def word_sets_by_definition(n: int, k: int):
@@ -391,7 +478,7 @@ def word_sets_by_definition(n: int, k: int):
             burning.add(vals)
         if is_k_partial_by_definition(word, k):
             definition.add(vals)
-            if sigma_conditions_hold(word, k, witness_by_construction(word, k)):
+            if witness_conditions_hold(word, k, witness_by_construction(word, k)):
                 sigma.add(vals)
         if is_g_parking_bruteforce(graph, word):
             subsets.add(vals)

@@ -6,7 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import enumerate_regions_by_walls, feasible_by_bellman_ford, label_direct
+from oracles import (
+    enumerate_regions_by_walls,
+    feasible_by_bellman_ford,
+    feasible_by_tightening,
+    label_direct,
+)
 
 from shiish import (
     BudgetError,
@@ -17,7 +22,6 @@ from shiish import (
     describe,
     draw_diagram,
     enumerate_regions,
-    is_feasible,
     is_k_partial,
     label_from_description,
     region_record,
@@ -31,6 +35,10 @@ def _by_signs(spec):
 
 def _label_strings(spec):
     return {"".join(map(str, label.entries)) for _, label in enumerate_regions(spec)}
+
+
+def _positions(spec):
+    return {(hp.p, hp.q, hp.c): pos for pos, hp in enumerate(spec.hyperplanes)}
 
 
 # ------------------------------------------------------------- construction
@@ -69,8 +77,7 @@ def test_canonical_order_and_lookup():
     spec = build_arrangement(4, 3)
     triples = [(hp.p, hp.q, hp.c) for hp in spec.hyperplanes]
     assert triples == sorted(triples)
-    for pos, hp in enumerate(spec.hyperplanes):
-        assert spec.index_of(hp.p, hp.q, hp.c) == pos
+    assert len(_positions(spec)) == len(triples)
 
 
 def test_build_validation():
@@ -90,14 +97,14 @@ def test_build_validation():
 
 def test_base_signs_are_feasible():
     spec = build_arrangement(3, 3)
-    assert is_feasible(spec, base_region(spec).signs)
+    assert feasible_by_tightening(spec, enumerate(base_region(spec).signs))
 
 
 def test_contradictory_pair_is_infeasible():
     spec = build_arrangement(3, 3)
     # x1 - x2 > 1 together with x1 - x2 < 0
-    partial = {spec.index_of(1, 2, 1): ABOVE, spec.index_of(1, 2, 0): BELOW}
-    assert not is_feasible(spec, partial)
+    at = _positions(spec)
+    assert not feasible_by_tightening(spec, [(at[1, 2, 1], ABOVE), (at[1, 2, 0], BELOW)])
 
 
 def test_feasible_total_assignment_count_n3_k3():
@@ -105,25 +112,9 @@ def test_feasible_total_assignment_count_n3_k3():
     count = sum(
         1
         for signs in itertools.product((BELOW, ABOVE), repeat=6)
-        if is_feasible(spec, signs)
+        if feasible_by_tightening(spec, enumerate(signs))
     )
     assert count == 16
-
-
-def test_partial_assignment_as_sequence_with_none():
-    spec = build_arrangement(3, 3)
-    partial = [None] * 6
-    partial[spec.index_of(1, 3, 1)] = ABOVE
-    partial[spec.index_of(1, 3, 2)] = BELOW
-    assert is_feasible(spec, partial)
-
-
-def test_feasibility_rejects_bad_assignment():
-    spec = build_arrangement(3, 3)
-    with pytest.raises(ValueError):
-        is_feasible(spec, {99: ABOVE})
-    with pytest.raises(ValueError):
-        is_feasible(spec, {0: 7})
 
 
 def test_region_requires_valid_witness():
@@ -162,7 +153,7 @@ def test_certified_region_rejects_corrupt_integer_witness():
             Region(spec, region.signs, point, region.scale)
 
 
-def test_is_feasible_matches_bellman_ford_oracle():
+def test_tightening_matches_bellman_ford_oracle():
     rng = random.Random(20261017)
     verdicts = []
     for _ in range(1500):
@@ -171,7 +162,7 @@ def test_is_feasible_matches_bellman_ford_oracle():
         positions = range(len(spec.hyperplanes))
         chosen = rng.sample(positions, rng.randint(0, len(spec.hyperplanes)))
         partial = {pos: rng.choice((BELOW, ABOVE)) for pos in chosen}
-        verdict = is_feasible(spec, partial)
+        verdict = feasible_by_tightening(spec, partial.items())
         assert verdict == feasible_by_bellman_ford(spec, partial.items()), (n, spec.k, partial)
         verdicts.append(verdict)
     assert 100 < sum(verdicts) < len(verdicts) - 100
@@ -184,7 +175,7 @@ def test_base_region_description_and_label():
         spec = build_arrangement(n, k)
         base = base_region(spec)
         desc = describe(spec, base)
-        assert desc.w.is_identity()
+        assert desc.w.images == tuple(range(1, n + 1))
         assert (1, n, 1) in desc.windows
         assert label_direct(spec, base).entries == (1,) * n
         assert label_from_description(spec, desc).entries == (1,) * n
@@ -329,11 +320,12 @@ def test_sign_monotonicity_per_pair():
     # above at offset c forces above at every smaller offset
     for n, k in ((4, 3), (4, 4), (3, 3)):
         spec = build_arrangement(n, k)
+        at = _positions(spec)
         for region, _ in enumerate_regions(spec):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     states = [
-                        region.signs[spec.index_of(i, j, c)]
+                        region.signs[at[i, j, c]]
                         for c in range(0, spec.max_offset(i, j) + 1)
                     ]
                     for lower, higher in zip(states, states[1:]):
@@ -434,7 +426,7 @@ def test_region_next_to_base_two_arc_diagram():
     for n, k in ((4, 3), (4, 4), (5, 5)):
         spec = build_arrangement(n, k)
         base = base_region(spec)
-        idx = spec.index_of(1, n, 1)
+        idx = _positions(spec)[1, n, 1]
         signs = list(base.signs)
         signs[idx] = ABOVE
         pairs = _by_signs(spec)

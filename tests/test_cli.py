@@ -48,10 +48,21 @@ def test_region_writer_on_no_records():
     assert "".join(cli._regions_json([])) == json.dumps([], indent=2, sort_keys=True) + "\n"
 
 
-def test_regions_budget_refusal(capsys):
+def test_regions_budget_refusal(capsys, monkeypatch):
     code, _, err = run(capsys, "regions", "--n", "9", "--k", "2")
     assert code == 2
     assert "refused" in err
+
+    # refused before the O(n^2) hyperplane list is built
+    def must_not_run(*args):
+        raise AssertionError("the arrangement was built before the budget check")
+
+    monkeypatch.setattr(cli, "build_arrangement", must_not_run)
+    code, out, err = run(capsys, "regions", "--n", "100000", "--k", "3")
+    assert (code, out) == (2, "")
+    assert "refused" in err
+    # a k outside [2, n] stays a usage error
+    assert run(capsys, "regions", "--n", "4", "--k", "9")[:2] == (1, "")
 
 
 def test_regions_env_override(capsys, monkeypatch):
@@ -179,6 +190,11 @@ def test_check_rejects_bad_word(capsys):
     # lossy forms that once read as the word 12
     for word in ("[1.9, 2]", "[true, 2]", '[1, "2"]', "\uff11\uff12"):
         code, out, err = run(capsys, "check", word, "--k", "2")
+        assert (code, out) == (1, "")
+        assert "error" in err
+    # a one-entry word has no k in [2, n] to classify or burn
+    for command in ("check", "burn"):
+        code, out, err = run(capsys, command, "1")
         assert (code, out) == (1, "")
         assert "error" in err
 

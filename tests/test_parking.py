@@ -1,14 +1,20 @@
 """Parking run, centre, tail sorting, k-partial test, witness construction."""
 
+import itertools
 import random
 
 import pytest
 
-from oracles import centre_by_subsets, run_parking, sigma_exists_bruteforce
+from oracles import (
+    all_words,
+    centre_by_subsets,
+    run_parking,
+    sigma_exists_bruteforce,
+    witness_conditions_hold,
+)
 from shiish import (
     Permutation,
     Word,
-    all_words,
     centre,
     compose,
     count_tail_parkers,
@@ -17,7 +23,6 @@ from shiish import (
     is_parking_function,
     parks_all_tail,
     sigma_characterization,
-    sigma_conditions_hold,
     sort_tail,
 )
 from shiish import parking
@@ -130,7 +135,7 @@ def test_centre_greedy_equals_subset_union():
 def test_centre_membership_helper():
     z = centre(Word((1, 3, 3)))
     assert 1 in z and 2 not in z
-    assert z.as_set() == frozenset({1})
+    assert z.members == (1,)
 
 
 # ------------------------------------------------------------- ish parking
@@ -154,7 +159,7 @@ def test_sort_tail_small_cases():
     assert word.values == (4, 3, 2, 1)
     for a in all_words(3):
         word, pi = sort_tail(a, 3)
-        assert word == a and pi.is_identity()
+        assert word == a and pi.images == (1, 2, 3)
 
 
 def test_sort_tail_structure():
@@ -162,7 +167,7 @@ def test_sort_tail_structure():
     for a in all_words(4):
         for k in range(2, 5):
             word, pi = sort_tail(a, k)
-            assert all(pi(i) == i for i in range(1, k))
+            assert pi.images[: k - 1] == tuple(range(1, k))
             tail = word.values[k - 1 :]
             assert all(x >= y for x, y in zip(tail, tail[1:]))
             assert word == compose(a, pi)
@@ -173,10 +178,10 @@ def test_sort_tail_tie_break_does_not_change_centre():
     for n in range(2, 6):
         for a in all_words(n):
             for k in range(2, n + 1):
-                convention = centre(sort_tail(a, k).word).as_set()
+                convention = centre(sort_tail(a, k).word).members
                 tail = sorted(range(k, n + 1), key=lambda i: (-a.values[i - 1], -i))
                 other_pi = Permutation(tuple(list(range(1, k)) + tail))
-                other = centre(compose(a, other_pi)).as_set()
+                other = centre(compose(a, other_pi)).members
                 assert convention == other
 
 
@@ -207,7 +212,7 @@ def test_sigma_worked_example():
     sigma = sigma_characterization(a, 5)
     assert sigma is not None
     assert sigma.images == (8, 5, 4, 1, 2, 3, 6, 7)
-    assert sigma_conditions_hold(a, 5, sigma)
+    assert witness_conditions_hold(a, 5, sigma)
     assert compose(a, sigma).values == (1, 1, 3, 2, 6, 6, 4, 6)
 
 
@@ -218,7 +223,7 @@ def test_sigma_all_ones_gets_reversal():
             sigma = sigma_characterization(a, k)
             assert sigma is not None
             assert sigma.images == tuple(range(n, 0, -1))
-            assert sigma_conditions_hold(a, k, sigma)
+            assert witness_conditions_hold(a, k, sigma)
 
 
 def test_sigma_absent_when_not_partial():
@@ -232,7 +237,18 @@ def test_sigma_witness_always_validates():
                 sigma = sigma_characterization(a, k)
                 assert (sigma is not None) == is_k_partial(a, k)
                 if sigma is not None:
-                    assert sigma_conditions_hold(a, k, sigma)
+                    assert witness_conditions_hold(a, k, sigma)
+
+
+def test_witness_oracle_matches_the_kernel_on_every_permutation():
+    # the oracle shares no code with the kernel, so their agreement is checked
+    for n in range(2, 5):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        for a in all_words(n):
+            for k in range(2, n + 1):
+                for sigma in perms:
+                    expected = parking._witness_holds(a.values, k, sigma.images)
+                    assert witness_conditions_hold(a, k, sigma) == expected, (a, k, sigma)
 
 
 def test_sigma_characterization_raises_on_a_failed_witness(monkeypatch):
@@ -339,7 +355,7 @@ def test_centre_elements_always_park():
     for n in range(2, 7):
         for _ in range(600):
             a = Word(tuple(rng.randint(1, n) for _ in range(n)))
-            z = centre(a).as_set()
+            z = set(centre(a).members)
             assert z <= run_parking(a).parked_set
             # any word agreeing with a on the centre also parks the centre
             b_vals = list(a.values)

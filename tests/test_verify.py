@@ -1,13 +1,13 @@
 """The cross-validation harness and its reports."""
 
+import functools
 from collections import Counter
 
 import pytest
 
-from oracles import word_sets_by_definition
+from oracles import all_words, word_sets_by_definition
 from shiish import (
     BudgetError,
-    all_words,
     build_rooted,
     count_sweep,
     cross_validate,
@@ -15,7 +15,6 @@ from shiish import (
     is_k_partial,
     parking,
     parks_all_tail,
-    reproduce_tables,
     verify,
 )
 from shiish.cli import main
@@ -72,8 +71,8 @@ def test_cross_validate_budget(monkeypatch):
         cross_validate(3, 2)
 
 
-def test_reproduce_tables_all_pass():
-    report = reproduce_tables()
+def test_worked_examples_all_pass():
+    report = verify_gate(4)["tables"]
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
     names = {c["name"] for c in report["checks"]}
     assert "labels_n3_k3" in names
@@ -147,7 +146,7 @@ def test_verify_enumerates_each_arrangement_once_per_run(monkeypatch, capsys):
     capsys.readouterr()
 
     calls.clear()
-    assert reproduce_tables()["pass"]
+    assert verify._tables(functools.cache(verify._region_labels))["pass"]
     assert calls == Counter([(3, 3), (4, 2), (4, 3), (4, 4)])
 
 
