@@ -37,12 +37,20 @@ GOLDEN = [
         "1158ee0410d02b75b3b43ce5ae032a2c1c499259eee7fe8e710b262ca6defae2",
     ),
     (
+        ["regions", "--n", "6", "--k", "3"],
+        "8fa9a63f9201e97064faffd9e4fa38b1b86d05ebcb5ba7e46240ff288dfa4319",
+    ),
+    (
         ["regions", "--n", "4", "--k", "2", "--format", "csv"],
         "ae17032073ba50a6aa38695895ee0a63aafac31d9a71e310d1255691bb5a2f67",
     ),
     (
         ["regions", "--n", "3", "--k", "3", "--format", "text"],
         "070d30098c085ba2a2c4c77aa15b65f0b5b89f78a62461c7eddd1ec1034585f5",
+    ),
+    (
+        ["regions", "--n", "5", "--k", "3", "--format", "text"],
+        "b2c33a77dccfcc05c4ceacb9161e4c487c3adf2cb2a82bb8c7fbfc4cc7476551",
     ),
     (
         ["check", "4213", "--k", "all", "--trace"],
