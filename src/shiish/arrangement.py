@@ -51,23 +51,34 @@ class ArrangementSpec:
     hyperplanes: tuple[Hyperplane, ...]
 
     def __post_init__(self) -> None:
-        index = {}
-        planes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # Each pair (p, q) owns one contiguous slice of positions, equality
+        # first, then offsets c_1 < ... < c_m.  A chamber shows it one of m + 2
+        # patterns: all BELOW (x_q wins), or the equality and the first t
+        # offsets ABOVE (x_p wins, in window c_{t+1}, or in overflow if t = m).
+        # `_read` maps each pattern to (winner, window or None, overflow or None).
+        pairs = []  # (start, p, q, offsets)
+        prev = (0, 0, -1)
         for pos, hp in enumerate(self.hyperplanes):
             if hp.q > self.n:
                 raise ValueError(f"{hp} uses a coordinate beyond n={self.n}")
-            key = (hp.p, hp.q, hp.c)
-            if key in index:
-                raise ValueError(f"duplicate hyperplane {hp}")
-            index[key] = pos
-            planes.setdefault((hp.p, hp.q), []).append((hp.c, pos))
-        # What `describe` reads per pair: equality index, (offset, index) pairs.
-        pairs = tuple(
-            (p, q, index.get((p, q, 0)), tuple(sorted(t for t in found if t[0] >= 1)))
-            for (p, q), found in sorted(planes.items())
-        )
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_max_offset", {(p, q): o[-1][0] for p, q, _, o in pairs if o})
+            if (hp.p, hp.q, hp.c) <= prev:
+                raise ValueError(f"{hp} is not after {prev} in strictly increasing (p, q, c) order")
+            if (hp.p, hp.q) == prev[:2]:
+                pairs[-1][3].append(hp.c)
+            elif hp.c != 0:
+                raise ValueError(f"pair ({hp.p}, {hp.q}) has offsets but no equality hyperplane")
+            else:
+                pairs.append((pos, hp.p, hp.q, []))
+            prev = (hp.p, hp.q, hp.c)
+        slices = []
+        for start, p, q, offsets in pairs:
+            m = len(offsets)
+            table = {(BELOW,) * (m + 1): (q, None, None), (ABOVE,) * (m + 1): (p, None, (p, q))}
+            for t, c in enumerate(offsets):
+                table[(ABOVE,) * (t + 1) + (BELOW,) * (m - t)] = (p, (p, q, c), None)
+            slices.append((start, start + m + 1, table))
+        object.__setattr__(self, "_slices", tuple(slices))
+        object.__setattr__(self, "_max_offset", {(p, q): o[-1] for _, p, q, o in pairs if o})
 
     def max_offset(self, i: int, j: int) -> int:
         """Largest positive offset c with x_i - x_j = c in the arrangement, else 0."""
@@ -262,28 +273,30 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
     return out
 
 
+def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """(order, windows, overflow) of a chamber, each pair read off its slice of `signs`.
+
+    In a chamber the comparisons form a strict total order, so the number of
+    coordinates each one beats is its rank.  Pairs come sorted, with at most
+    one window or overflow entry each, so `windows` and `overflow` are sorted.
+    """
+    wins = [0] * (spec.n + 1)
+    windows, overflow = [], []
+    for start, stop, table in spec._slices:
+        winner, window, over = table[signs[start:stop]]
+        wins[winner] += 1
+        if window:
+            windows.append(window)
+        elif over:
+            overflow.append(over)
+    order = sorted(range(1, spec.n + 1), key=wins.__getitem__, reverse=True)
+    return tuple(order), tuple(windows), tuple(overflow)
+
+
 def describe(spec: ArrangementSpec, region: Region) -> RegionDescription:
     """Read the coordinate order and per-pair difference windows off the signs."""
-    n = spec.n
-    signs = region.signs
-    # In a chamber the comparisons form a strict total order, so the number
-    # of coordinates each one beats determines its rank.
-    wins = [0] * (n + 1)
-    windows = set()
-    overflow = set()
-    for i, j, equal, offsets in spec._pairs:
-        if signs[equal] != ABOVE:
-            wins[j] += 1
-            continue
-        wins[i] += 1
-        for c, pos in offsets:
-            if signs[pos] == BELOW:
-                windows.add((i, j, c))
-                break
-        else:
-            overflow.add((i, j))
-    order = sorted(range(1, n + 1), key=lambda v: -wins[v])
-    return RegionDescription(Permutation(tuple(order)), frozenset(windows), frozenset(overflow))
+    order, windows, overflow = _read(spec, region.signs)
+    return RegionDescription(Permutation(order), frozenset(windows), frozenset(overflow))
 
 
 def label_from_description(spec: ArrangementSpec, desc: RegionDescription) -> Label:
@@ -304,38 +317,38 @@ def label_from_description(spec: ArrangementSpec, desc: RegionDescription) -> La
     return Label(tuple(entries))
 
 
-def draw_diagram(spec: ArrangementSpec, desc: RegionDescription) -> Diagram:
-    """Apply the omission rule: drop a window nested inside an equal-valued one.
+def _kept_arcs(order: tuple[int, ...], windows) -> tuple[tuple[int, int, int], ...]:
+    """The omission rule over sorted `windows`: drop a window nested inside an equal-valued one.
 
-    Nesting is read along the displayed word: the arc of (j, p, a) is
+    Nesting is read along the displayed word `order`: the arc of (j, p, a) is
     omitted when some other window (i, m, a) has i positioned at or before j
-    and m positioned at or after p.  Equal-valued nested windows carry no
-    extra information, since the outer difference bounds the inner one.
+    and m at or after p.  Equal-valued nested windows carry no extra
+    information, since the outer difference bounds the inner one.
     """
-    position = {v: pos for pos, v in enumerate(desc.w.images, start=1)}
-    kept = []
-    for j, p, a in sorted(desc.windows):
-        dominated = any(
-            (i, m) != (j, p)
-            and am == a
-            and position[i] <= position[j]
-            and position[p] <= position[m]
-            for i, m, am in desc.windows
+    position = {v: pos for pos, v in enumerate(order)}
+    return tuple(
+        (j, p, a)
+        for j, p, a in windows
+        if not any(
+            am == a and (i, m) != (j, p) and position[i] <= position[j] and position[p] <= position[m]
+            for i, m, am in windows
         )
-        if not dominated:
-            kept.append((j, p, a))
-    return Diagram(desc.w, tuple(kept))
+    )
+
+
+def draw_diagram(spec: ArrangementSpec, desc: RegionDescription) -> Diagram:
+    """The arc diagram of `desc`: its windows that survive the omission rule (`_kept_arcs`)."""
+    return Diagram(desc.w, _kept_arcs(desc.w.images, sorted(desc.windows)))
 
 
 def region_record(spec: ArrangementSpec, region: Region, label: Label) -> dict:
-    """JSON-ready record of one region, for file export."""
-    desc = describe(spec, region)
-    diagram = draw_diagram(spec, desc)
+    """JSON-ready record of one region, for file export; its sequences are tuples."""
+    order, windows, overflow = _read(spec, region.signs)
     return {
         "signs": region.sign_string(),
-        "w": list(desc.w.images),
-        "H": [list(t) for t in sorted(desc.windows)],
-        "I": [list(t) for t in sorted(desc.overflow)],
-        "label": label.to_json(),
-        "diagram": [list(t) for t in diagram.arcs],
+        "w": order,
+        "H": windows,
+        "I": overflow,
+        "label": label.entries,
+        "diagram": _kept_arcs(order, windows),
     }

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .arrangement import build_arrangement, describe, enumerate_regions, region_record
+from .arrangement import _read, build_arrangement, enumerate_regions, region_record
 from .core import BudgetError, Word, _is_ascii_digits, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
@@ -75,8 +75,20 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
             return "[]"
         return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
 
+    class Formatted(dict):
+        # each distinct row or `w` tuple formatted once per call
+        def __init__(self, indent: str):
+            self.indent = indent
+
+        def __missing__(self, values):
+            text = self[values] = ints(values, self.indent)
+            return text
+
+    row = Formatted("        ")
+    w = Formatted("      ")
+
     def rows(values) -> str:
-        return ints([ints(row, "        ") for row in values])
+        return ints([row[t] for t in values])
 
     lead = "[\n  "
     for r in records:
@@ -84,7 +96,7 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
         yield lead + (
             '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": %s,'
             '\n    "signs": "%s",\n    "w": %s\n  }'
-        ) % (*fields, r["signs"], ints(r["w"]))
+        ) % (*fields, r["signs"], w[r["w"]])
         lead = ",\n  "
     yield "[]\n" if lead == "[\n  " else "\n]\n"
 
@@ -110,7 +122,7 @@ def cmd_regions(args) -> int:
             out.writelines(",".join(map(str, label.entries)) + "\n" for _, label in pairs)
         else:  # text
             out.writelines(
-                f"{region.sign_string()}  w={''.join(map(str, describe(spec, region).w.images))}"
+                f"{region.sign_string()}  w={''.join(map(str, _read(spec, region.signs)[0]))}"
                 f"  label={label}\n"
                 for region, label in pairs
             )

@@ -167,9 +167,6 @@ class Label:
             return "".join(map(str, self.entries))
         return ",".join(map(str, self.entries))
 
-    def to_json(self) -> list[int]:
-        return list(self.entries)
-
 
 def compose(a: Word, w: Permutation) -> Word:
     """Rearrange a by w: entry i of the result is a[w(i)]."""

@@ -27,7 +27,9 @@ from shiish import (
 from shiish.arrangement import (
     ABOVE,
     BELOW,
+    Diagram,
     Region,
+    RegionDescription,
     _edge,
     _increment_index,
     _tighten,
@@ -352,6 +354,55 @@ def label_direct(spec, region: Region) -> Label:
         if s != b:
             entries[_increment_index(hp) - 1] += 1
     return Label(tuple(entries))
+
+
+def describe_by_pairs(spec, region: Region) -> RegionDescription:
+    """The description by a scan over the pairs: each pair's equality sign
+    decides the winner; the winner's first offset hyperplane it is below,
+    in offset order, is its window, and none means overflow."""
+    index = {(hp.p, hp.q, hp.c): pos for pos, hp in enumerate(spec.hyperplanes)}
+    planes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for pos, hp in enumerate(spec.hyperplanes):
+        planes.setdefault((hp.p, hp.q), []).append((hp.c, pos))
+    pairs = tuple(
+        (p, q, index.get((p, q, 0)), tuple(sorted(t for t in found if t[0] >= 1)))
+        for (p, q), found in sorted(planes.items())
+    )
+    n = spec.n
+    signs = region.signs
+    wins = [0] * (n + 1)
+    windows = set()
+    overflow = set()
+    for i, j, equal, offsets in pairs:
+        if signs[equal] != ABOVE:
+            wins[j] += 1
+            continue
+        wins[i] += 1
+        for c, pos in offsets:
+            if signs[pos] == BELOW:
+                windows.add((i, j, c))
+                break
+        else:
+            overflow.add((i, j))
+    order = sorted(range(1, n + 1), key=lambda v: -wins[v])
+    return RegionDescription(Permutation(tuple(order)), frozenset(windows), frozenset(overflow))
+
+
+def draw_diagram_by_scan(spec, desc: RegionDescription) -> Diagram:
+    """The omission rule by a scan over all window pairs, positions in a dict."""
+    position = {v: pos for pos, v in enumerate(desc.w.images, start=1)}
+    kept = []
+    for j, p, a in sorted(desc.windows):
+        dominated = any(
+            (i, m) != (j, p)
+            and am == a
+            and position[i] <= position[j]
+            and position[p] <= position[m]
+            for i, m, am in desc.windows
+        )
+        if not dominated:
+            kept.append((j, p, a))
+    return Diagram(desc.w, tuple(kept))
 
 
 def burn_by_recursion(g, values) -> tuple[list, list, list]:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    describe_by_pairs,
+    draw_diagram_by_scan,
     enumerate_regions_by_walls,
     feasible_by_bellman_ford,
     feasible_by_tightening,
@@ -14,6 +16,7 @@ from oracles import (
 )
 
 from shiish import (
+    ArrangementSpec,
     BudgetError,
     Hyperplane,
     Word,
@@ -91,6 +94,23 @@ def test_build_validation():
         Hyperplane(2, 1, 0)
     with pytest.raises(ValueError):
         Hyperplane(1, 2, -1)
+
+
+def test_spec_rejects_hyperplanes_out_of_order():
+    # each pair's hyperplanes must form one contiguous slice, equality first
+    for planes in (
+        [(1, 2, 0), (1, 3, 0), (1, 2, 1), (2, 3, 0)],  # pair (1, 2) split
+        [(1, 2, 0), (1, 2, 2), (1, 2, 1), (1, 3, 0), (2, 3, 0)],  # offsets descending
+        [(1, 2, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0)],  # duplicate
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ArrangementSpec(3, 2, tuple(Hyperplane(*t) for t in planes))
+
+
+def test_spec_rejects_offsets_without_equality():
+    planes = [(1, 2, 0), (1, 3, 1), (2, 3, 0)]
+    with pytest.raises(ValueError, match=r"pair \(1, 3\) has offsets but no equality"):
+        ArrangementSpec(3, 2, tuple(Hyperplane(*t) for t in planes))
 
 
 # -------------------------------------------------------------- feasibility
@@ -440,6 +460,34 @@ def test_region_next_to_base_two_arc_diagram():
 
 
 # ---------------------------------------------------------------- exports
+
+_READER_CASES = [(n, k) for n in range(2, 6) for k in range(2, n + 1)] + [(6, 3), (6, 6)]
+
+
+@pytest.mark.parametrize("n, k", _READER_CASES)
+def test_describe_matches_the_pair_scan_oracle(n, k):
+    spec = build_arrangement(n, k)
+    for region, label in enumerate_regions(spec):
+        desc = describe(spec, region)
+        expected = describe_by_pairs(spec, region)
+        assert desc.w == expected.w, region.signs
+        assert desc.windows == expected.windows, region.signs
+        assert desc.overflow == expected.overflow, region.signs
+        record = region_record(spec, region, label)
+        assert record["w"] == expected.w.images
+        assert record["H"] == tuple(sorted(expected.windows))
+        assert record["I"] == tuple(sorted(expected.overflow))
+
+
+@pytest.mark.parametrize("n, k", _READER_CASES)
+def test_draw_diagram_matches_the_scan_oracle(n, k):
+    spec = build_arrangement(n, k)
+    for region, label in enumerate_regions(spec):
+        desc = describe(spec, region)
+        arcs = draw_diagram(spec, desc).arcs
+        assert arcs == draw_diagram_by_scan(spec, desc).arcs, region.signs
+        assert region_record(spec, region, label)["diagram"] == arcs
+
 
 def test_region_record_shape():
     spec = build_arrangement(3, 3)

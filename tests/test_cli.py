@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +199,82 @@ def test_check_rejects_bad_word(capsys):
         code, out, err = run(capsys, command, "1")
         assert (code, out) == (1, "")
         assert "error" in err
+
+
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_JSON_WS = r"[ \t\n\r]*"
+_JSON_INT_ARRAY = re.compile(
+    rf"\[{_JSON_WS}(?:{_JSON_INT}(?:{_JSON_WS},{_JSON_WS}{_JSON_INT})*)?{_JSON_WS}\]"
+)
+_COMMA_LIST = re.compile(r"[0-9]+(?:\s*,\s*[0-9]+)+")
+
+
+def _reference_word(text):
+    """The word `check` must accept for `text`, or None: a JSON array of
+    integers, a comma list of ASCII digit runs or 1 to 9 ASCII digits, with
+    entries in [1, n] and n >= 2 (so that `--k all` names some k)."""
+    text = text.strip()
+    if _JSON_INT_ARRAY.fullmatch(text) or _COMMA_LIST.fullmatch(text):
+        values = [int(v) for v in re.findall(r"-?[0-9]+", text)]
+    elif re.fullmatch(r"[0-9]{1,9}", text):
+        values = [int(ch) for ch in text]
+    else:
+        return None
+    if len(values) < 2 or not all(1 <= v <= len(values) for v in values):
+        return None
+    return values
+
+
+def _random_word_text(rng):
+    n = rng.randint(0, 12)
+    # half the time entries of a word of length n, else some out of range
+    low, high = (1, max(n, 1)) if rng.random() < 0.5 else (-2, 14)
+    values = [rng.randint(low, high) for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 0:  # JSON array, sometimes with a bool, a float or a nested array
+        items = [str(v) for v in values]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            odd = rng.choice(("true", "false", "1.0", "2e0", "-0", "[1]", "[[2, 3]]", "01"))
+            items.insert(rng.randint(0, len(items)), odd)
+        text = "[" + rng.choice((",", ", ", " , ", ",\n")).join(items) + "]"
+        if rng.random() < 0.1:
+            text = text[:-1] + rng.choice(("", ",]", "]]", "] x"))
+    elif kind == 1:  # comma list, sometimes with signs, non-ASCII digits or empty items
+        items = [str(v) for v in values] or [""]
+        for _ in range(rng.choice((0, 0, 1))):
+            pos = rng.randrange(len(items))
+            if rng.random() < 0.5:
+                items[pos] = rng.choice(("+", "-", "")) + items[pos]
+            else:  # the same value in Arabic-Indic, fullwidth or superscript digits
+                digits = rng.choice(("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "⁰¹²³⁴⁵⁶⁷⁸⁹"))
+                items[pos] = "".join(digits[int(d)] for d in items[pos].lstrip("-"))
+        pad = ("", " ", "  ", "\t")
+        text = ",".join(rng.choice(pad) + item + rng.choice(pad) for item in items)
+        if "," not in text:
+            text += ","
+    else:  # digit string of length 0 to 12
+        length = rng.randint(0, 12)
+        low, high = (1, min(length, 9)) if rng.random() < 0.5 else (0, 9)
+        text = "".join(str(rng.randint(low, high)) for _ in range(length))
+    return rng.choice(("", " ")) + text + rng.choice(("", " ", "\n"))
+
+
+def test_check_parses_seeded_word_texts_like_the_reference(capsys):
+    rng = random.Random(20261018)
+    accepted = 0
+    for _ in range(2000):
+        text = _random_word_text(rng)
+        expected = _reference_word(text)
+        code, out, err = run(capsys, "check", text)
+        assert code == (1 if expected is None else 0), (text, err)
+        assert "Traceback" not in err, text
+        if expected is None:
+            assert out == "", text
+        else:
+            assert json.loads(out)["word"] == expected, text
+            accepted += 1
+    # both outcomes are exercised
+    assert 300 < accepted < 1700, accepted
 
 
 def test_burn_subcommand(capsys):
