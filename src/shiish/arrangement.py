@@ -20,6 +20,7 @@ from .core import Label, Permutation, check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
+_SIGN_DIGITS = bytes.maketrans(bytes((BELOW, ABOVE)), b"01")
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,14 @@ class Region:
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
         for s, hp in zip(self.signs, spec.hyperplanes):
-            if s not in (BELOW, ABOVE):
+            if not isinstance(s, int) or s not in (BELOW, ABOVE):
                 raise ValueError(f"sign {s!r} is neither below (0) nor above (1)")
             diff = point[hp.p - 1] - point[hp.q - 1]
             if not (diff > hp.c * scale if s == ABOVE else diff < hp.c * scale):
                 raise ValueError(f"witness violates {hp.equation()} on side {s}")
 
     def sign_string(self) -> str:
-        return "".join("1" if s == ABOVE else "0" for s in self.signs)
+        return bytes(self.signs).translate(_SIGN_DIGITS).decode()
 
 
 @dataclass(frozen=True, eq=False)

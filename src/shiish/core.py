@@ -28,7 +28,7 @@ def size_budget() -> int:
     raw = os.environ.get(ENV_MAX_N)
     if raw is None:
         return DEFAULT_MAX_N
-    if not (raw.isascii() and raw.isdigit()):
+    if not _is_ascii_digits(raw):
         raise ValueError(f"{ENV_MAX_N}={raw!r} is not a non-negative integer")
     return int(raw)
 
@@ -106,7 +106,8 @@ class Word:
         """
         text = text.strip()
         if text.startswith("["):
-            values = json.loads(text)
+            # one "[" and no "{", so nesting never reaches json's recursion limit
+            values = json.loads(text) if text.count("[") == 1 and "{" not in text else None
             if not isinstance(values, list) or any(type(v) is not int for v in values):
                 raise ValueError(f"{text!r} is not a JSON array of integers")
             return cls(tuple(values))

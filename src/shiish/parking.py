@@ -5,6 +5,10 @@ park in a street of 2n slots, driver i starting at slot a[i] and rolling
 forward to the first free slot.  The predicates here (parking, tail
 parking, centre, k-partial test, witness permutation) decide which words
 park which drivers by counting, without running the street.
+
+The k-partial verdict and its witness are one construction, owned by the
+private kernel `_witness_of`: `is_k_partial`, `sigma_characterization` and
+the sweep in `verify` all read it.
 """
 
 from __future__ import annotations
@@ -114,23 +118,28 @@ def _tail_order(vals: Sequence[int], k: int) -> list[int]:
     return [*range(1, k), *(p + 1 for p in tail)]
 
 
-def _sorted_centre(vals: Sequence[int], k: int) -> Optional[tuple[list[int], list[int]]]:
-    """(pi, Z) when Z holds 1, else None; a raw word is k-partial iff it also parks its tail.
+def _witness_of(vals: Sequence[int], k: int) -> Optional[tuple[int, ...]]:
+    """Images of the witness pi o tau when 1 is in Z, else None.
 
     pi is the `sort_tail` permutation and Z the centre of the sorted-tail
-    word, descending: the two ingredients of the witness.
+    word; tau = (Z descending, B ascending, C descending) with
+    B = [1, k-1] minus Z and C = [k, n] minus Z.  A raw word is k-partial
+    iff it parks its tail and this is not None.
     """
     pi = _tail_order(vals, k)
     z_members = _centre([vals[p - 1] for p in pi])
     if not z_members or z_members[-1] != 1:  # descending: 1 comes last
         return None
-    return pi, z_members
+    z_set = set(z_members)
+    b_part = [i for i in range(1, k) if i not in z_set]
+    c_part = [i for i in range(len(pi), k - 1, -1) if i not in z_set]
+    return tuple(pi[t - 1] for t in (*z_members, *b_part, *c_part))
 
 
 def is_k_partial(a: Word, k: int) -> bool:
     """True when a parks all of [k, n] and the sorted-tail word has 1 in its centre."""
     check_nk(a.n, k)
-    return _parks_tail(a.values, k) and _sorted_centre(a.values, k) is not None
+    return _parks_tail(a.values, k) and _witness_of(a.values, k) is not None
 
 
 def _witness_holds(vals: Sequence[int], k: int, images: Sequence[int]) -> bool:
@@ -155,28 +164,17 @@ def _witness_holds(vals: Sequence[int], k: int, images: Sequence[int]) -> bool:
 
 
 def sigma_characterization(a: Word, k: int) -> Optional[Permutation]:
-    """Build the witness permutation for a k-partial word, or return None.
+    """The witness permutation pi o tau of `_witness_of`, or None when a is not k-partial.
 
-    The construction splits [n] into the centre Z of the sorted-tail word,
-    B = [1, k-1] minus Z and C = [k, n] minus Z, lays them out as
-    tau = (Z descending, B ascending, C descending) and returns pi o tau.
+    Raises RuntimeError when the witness fails its conditions.
     """
     check_nk(a.n, k)
-    found = _parks_tail(a.values, k) and _sorted_centre(a.values, k)
-    if not found:
+    images = _parks_tail(a.values, k) and _witness_of(a.values, k)
+    if not images:
         return None
-    images = _witness(k, *found)
     if not _witness_holds(a.values, k, images):
         raise RuntimeError(f"the witness {images} of {a} for k={k} fails its conditions")
     return Permutation(images)
-
-
-def _witness(k: int, pi: list[int], z_members: list[int]) -> tuple[int, ...]:
-    """Images of pi o tau, tau = (Z descending, B ascending, C descending)."""
-    z_set = set(z_members)
-    b_part = [i for i in range(1, k) if i not in z_set]
-    c_part = [i for i in range(len(pi), k - 1, -1) if i not in z_set]
-    return tuple(pi[t - 1] for t in (*z_members, *b_part, *c_part))
 
 
 def count_tail_parkers(n: int, k: int) -> int:
@@ -190,17 +188,14 @@ def classification_report(a: Word, ks: Optional[Sequence[int]] = None) -> dict:
     n = a.n
     if ks is None:
         ks = range(2, n + 1)
-    partial = {}
-    sigma = {}
-    for k in ks:
-        partial[str(k)] = is_k_partial(a, k)
-        witness = sigma_characterization(a, k)
-        sigma[str(k)] = list(witness.images) if witness is not None else None
+    # sigma_characterization is None exactly off the k-partial words
+    witnesses = {str(k): sigma_characterization(a, k) for k in ks}
+    members = centre(a).members
     return {
         "word": a.to_json(),
         "parking": is_parking_function(a),
-        "ish": is_ish_parking(a),
-        "partial": partial,
-        "centre": list(centre(a).members),
-        "sigma": sigma,
+        "ish": 1 in members,
+        "partial": {k: w is not None for k, w in witnesses.items()},
+        "centre": list(members),
+        "sigma": {k: list(w.images) if w is not None else None for k, w in witnesses.items()},
     }

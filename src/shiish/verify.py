@@ -13,7 +13,9 @@ content never depends on it.
 
 `verify_gate` runs all of it as one report, enumerating each arrangement
 once.  Each cell sweeps [n]^n once, over raw tuples, through the private
-kernels that the public predicates in `graphs` and `parking` wrap.
+kernels that the public predicates wrap: `_burn` and `_subset_parking`
+from `graphs`, and `_parks_tail`, `_witness_of` and `_witness_holds`
+from `parking`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .core import Word, check_budget, compose
 from .graphs import _burn, _subset_parking, build_gkn, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
-    _sorted_centre,
-    _witness,
     _witness_holds,
+    _witness_of,
     centre,
     count_tail_parkers,
     sigma_characterization,
@@ -73,9 +74,10 @@ def _region_labels(n: int, k: int) -> tuple[int, frozenset]:
 def _word_sets(n: int, k: int):
     """One pass over the raw tuples of [n]^n for the four word characterizations.
 
-    Per word the burn runs once, and tail parking, the sorted tail and its
-    centre are computed once: "definition" is k-partiality, and "sigma"
-    holds the words whose witness passes the explicit condition check.
+    Per word the burn runs once, and tail parking and `_witness_of` (the
+    sorted-tail centre and the witness read off it) run once: "definition"
+    is k-partiality, and "sigma" holds the words whose witness passes the
+    explicit condition check.
     Last comes the number of words that park the tail.
     """
     rooted = build_rooted(n, k)
@@ -93,11 +95,11 @@ def _word_sets(n: int, k: int):
         if not _parks_tail(vals, k):
             continue
         tail_parkers += 1
-        found = _sorted_centre(vals, k)
-        if found is None:
+        images = _witness_of(vals, k)
+        if images is None:
             continue
         definition.add(vals)
-        if _witness_holds(vals, k, _witness(k, *found)):
+        if _witness_holds(vals, k, images):
             sigma.add(vals)
     return burning, definition, sigma, subsets, tail_parkers
 

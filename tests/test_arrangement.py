@@ -148,6 +148,17 @@ def test_region_requires_valid_witness():
         Region(spec, base.signs, base.point[:-1], base.scale)  # wrong length
     with pytest.raises(ValueError):
         Region(spec, (2,) + base.signs[1:], base.point, base.scale)  # sign outside {0, 1}
+    with pytest.raises(ValueError):
+        Region(spec, (float(base.signs[0]),) + base.signs[1:], base.point, base.scale)
+
+
+def test_sign_string_reads_zero_and_one_off_the_signs():
+    spec = build_arrangement(4, 3)
+    for region, _ in enumerate_regions(spec):
+        text = "".join(map(str, region.signs))
+        assert region.sign_string() == text
+        as_bools = Region(spec, tuple(map(bool, region.signs)), region.point, region.scale)
+        assert as_bools.sign_string() == text
 
 
 def test_base_region_point():

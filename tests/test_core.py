@@ -52,7 +52,8 @@ def test_word_parse_forms():
     assert Word.parse("2, 1 ,1").values == (2, 1, 1)
     # lossless: only JSON integers (not bools or floats) and ASCII digits
     for text in ("[1.9, 2]", "[1.0, 2]", "[true, 2]", '[1, "2"]', "[[1], 2]", "[]",
-                 '{"a": 1}', "\uff11\uff12", "1,\uff12", "1,+2", "1,2_0", "1,,2", "\u00b9\u00b2"):
+                 '{"a": 1}', "\uff11\uff12", "1,\uff12", "1,+2", "1,2_0", "1,,2", "\u00b9\u00b2",
+                 "[" * 5000 + "]" * 5000, "[" + '{"a": ' * 5000 + "1" + "}" * 5000 + "]"):
         with pytest.raises(ValueError):
             Word.parse(text)
 

@@ -8,8 +8,10 @@ import pytest
 from oracles import (
     all_words,
     centre_by_subsets,
+    is_k_partial_by_definition,
     run_parking,
     sigma_exists_bruteforce,
+    witness_by_construction,
     witness_conditions_hold,
 )
 from shiish import (
@@ -376,3 +378,25 @@ def test_classification_report_shape():
     assert report["centre"] == [3, 2]
     assert report["sigma"]["3"] is None
     assert report["sigma"]["2"] is not None
+
+
+def test_classification_report_matches_the_oracles():
+    # one witness per (word, k) serves both "partial" and "sigma"
+    rng = random.Random(515253)
+    words = [a for n in range(2, 6) for a in all_words(n)]
+    for n in range(6, 10):
+        for _ in range(40):
+            top = rng.randint(1, n)  # low caps make parking functions common
+            words.append(Word(tuple(rng.randint(1, top) for _ in range(n))))
+    for a in words:
+        report = classification_report(a)
+        ks = [str(k) for k in range(2, a.n + 1)]
+        assert list(report["partial"]) == list(report["sigma"]) == ks
+        assert report["parking"] == (run_parking(a).parked_set == set(range(1, a.n + 1)))
+        assert report["centre"] == list(centre_by_subsets(a.values))
+        assert report["ish"] == (1 in report["centre"])
+        for k in range(2, a.n + 1):
+            partial = is_k_partial_by_definition(a, k)
+            assert report["partial"][str(k)] == partial, (a, k)
+            expected = list(witness_by_construction(a, k).images) if partial else None
+            assert report["sigma"][str(k)] == expected, (a, k)
