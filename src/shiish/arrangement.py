@@ -7,14 +7,16 @@ difference-bound matrix (DBM) over scaled integers, kept closed as one
 constraint at a time is added; an integer witness point falls out of the
 closure.  Regions are enumerated by depth-first search over sign vectors,
 the label carried down the search path; `label_from_description` labels a
-region a second, independent way.
+region a second, independent way.  One leaf generator (`_leaves`) serves the
+public list, the `regions` export and the verify gate, and each of them
+checks every leaf's witness in integers with `_certify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import Label, Permutation, check_budget, check_nk
 
@@ -80,6 +82,10 @@ class ArrangementSpec:
             slices.append((start, start + m + 1, table))
         object.__setattr__(self, "_slices", tuple(slices))
         object.__setattr__(self, "_max_offset", {(p, q): o[-1] for _, p, q, o in pairs if o})
+        # (p - 1, q - 1, c) per hyperplane, the form `_certify` reads
+        object.__setattr__(
+            self, "_planes", tuple((hp.p - 1, hp.q - 1, hp.c) for hp in self.hyperplanes)
+        )
 
     def max_offset(self, i: int, j: int) -> int:
         """Largest positive offset c with x_i - x_j = c in the arrangement, else 0."""
@@ -133,15 +139,33 @@ class Region:
             raise ValueError("witness point has the wrong dimension")
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
-        for s, hp in zip(self.signs, spec.hyperplanes):
+        for s in self.signs:
             if not isinstance(s, int) or s not in (BELOW, ABOVE):
                 raise ValueError(f"sign {s!r} is neither below (0) nor above (1)")
-            diff = point[hp.p - 1] - point[hp.q - 1]
-            if not (diff > hp.c * scale if s == ABOVE else diff < hp.c * scale):
-                raise ValueError(f"witness violates {hp.equation()} on side {s}")
+        _certify(spec, self.signs, point, scale)
 
     def sign_string(self) -> str:
-        return bytes(self.signs).translate(_SIGN_DIGITS).decode()
+        return _sign_string(self.signs)
+
+
+def _sign_string(signs) -> str:
+    return bytes(signs).translate(_SIGN_DIGITS).decode()
+
+
+def _certify(spec: ArrangementSpec, signs, point, scale: int) -> None:
+    """Check in integers that point/scale lies strictly on side `signs[i]` of hyperplane i.
+
+    The exact certificate of every chamber the search yields, whichever
+    consumer reads it; raises ValueError at the first violated side.
+    """
+    for s, (i, j, c) in zip(signs, spec._planes):
+        diff = point[i] - point[j]
+        if diff <= c * scale if s == ABOVE else diff >= c * scale:
+            break
+    else:
+        return
+    hp = spec.hyperplanes[spec._planes.index((i, j, c))]
+    raise ValueError(f"witness violates {hp.equation()} on side {s}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +240,13 @@ def base_region(spec: ArrangementSpec) -> Region:
     every equality hyperplane and below every offset hyperplane.
     """
     n = spec.n
-    signs = tuple(ABOVE if hp.c == 0 else BELOW for hp in spec.hyperplanes)
+    signs = tuple(map(_base_side, spec.hyperplanes))
     return Region(spec, signs, tuple(range(n - 1, -1, -1)), n)
+
+
+def _base_side(hp: Hyperplane) -> int:
+    """The base chamber's side of `hp`: above an equality, below an offset."""
+    return ABOVE if hp.c == 0 else BELOW
 
 
 def _increment_index(hp: Hyperplane) -> int:
@@ -226,18 +255,17 @@ def _increment_index(hp: Hyperplane) -> int:
     return hp.p if hp.c == 0 else hp.q
 
 
-def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
-    """All chambers with their labels, sorted by sign vector, by depth-first sign search.
+def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """(signs, point, label) of every chamber, sorted by sign vector, by depth-first sign search.
 
     The search branches on the hyperplanes in index order, BELOW before
     ABOVE.  Each node holds the closed DBM of its prefix (`_tighten`), so
     infeasible sides are cut at once and every leaf is a chamber.  The label,
     all-ones plus one increment per side off the base chamber's, is carried
-    down the path.  The Region constructor checks a leaf's witness, the
-    potential X_i = min_j D[j][i] over scale n + 1, in integers.  Refused
-    above the size budget.
+    down the path.  `point` is the potential X_i = min_j D[j][i], a witness
+    over scale n + 1 that each consumer checks with `_certify`.  No budget
+    check: callers refuse an oversized n first.
     """
-    check_budget(spec.n, "region enumeration")
     n = spec.n
     scale = n + 1
     total = len(spec.hyperplanes)
@@ -245,15 +273,13 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
     # bumps, or None on the base chamber's side.
     sides = [
         tuple(
-            (*_edge(hp, side, scale), None if side == base else _increment_index(hp) - 1)
+            (*_edge(hp, side, scale), None if side == _base_side(hp) else _increment_index(hp) - 1)
             for side in (BELOW, ABOVE)
         )
-        for hp, base in zip(spec.hyperplanes, base_region(spec).signs)
+        for hp in spec.hyperplanes
     ]
     signs = [BELOW] * total
-    out = []
-    # An explicit stack of (position, side, parent DBM, parent label): a
-    # recursive closure would reference itself and outlive the call.
+    # An explicit stack of (position, side, parent DBM, parent label).
     stack = [(0, side, _unconstrained(n), (1,) * n) for side in (ABOVE, BELOW)]
     while stack:
         pos, side, dbm, label = stack.pop()
@@ -269,9 +295,20 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
             stack.append((pos, ABOVE, dbm, label))
             stack.append((pos, BELOW, dbm, label))
         else:
-            region = Region(spec, tuple(signs), tuple(map(min, zip(*dbm))), scale)
-            out.append((region, Label(label)))
-    return out
+            yield tuple(signs), tuple(map(min, zip(*dbm))), label
+
+
+def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
+    """All chambers with their labels, sorted by sign vector (`_leaves`).
+
+    The Region constructor checks each leaf's witness in integers.  Refused
+    above the size budget.
+    """
+    check_budget(spec.n, "region enumeration")
+    scale = spec.n + 1
+    return [
+        (Region(spec, signs, point, scale), Label(label)) for signs, point, label in _leaves(spec)
+    ]
 
 
 def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
@@ -344,12 +381,17 @@ def draw_diagram(spec: ArrangementSpec, desc: RegionDescription) -> Diagram:
 
 def region_record(spec: ArrangementSpec, region: Region, label: Label) -> dict:
     """JSON-ready record of one region, for file export; its sequences are tuples."""
-    order, windows, overflow = _read(spec, region.signs)
+    return _record(spec, region.signs, label.entries)
+
+
+def _record(spec: ArrangementSpec, signs: tuple[int, ...], label: tuple[int, ...]) -> dict:
+    """`region_record` of the chamber with these signs and label entries."""
+    order, windows, overflow = _read(spec, signs)
     return {
-        "signs": region.sign_string(),
+        "signs": _sign_string(signs),
         "w": order,
         "H": windows,
         "I": overflow,
-        "label": label.entries,
+        "label": label,
         "diagram": _kept_arcs(order, windows),
     }

@@ -6,8 +6,9 @@ files; nothing time- or host-dependent goes into an output.
 
 `regions`, `verify` and `count` sweep exponential spaces and refuse, before
 doing any work, an n above the size budget: the environment variable
-SHIISH_MAX_N, default 6.  `check`, `burn` and `graph` are polynomial and
-have no budget.
+SHIISH_MAX_N, default 6.  `check` and `burn` are polynomial and have no
+budget.  `graph` is polynomial too, but its DOT text grows as n^2, so it
+refuses an n above a fixed cap of 300, whatever the budget.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import json
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .arrangement import _read, build_arrangement, enumerate_regions, region_record
-from .core import BudgetError, Word, _is_ascii_digits, check_budget, check_nk
+from .arrangement import _certify, _leaves, _read, _record, _sign_string, build_arrangement
+from .core import BudgetError, Label, Word, _excerpt, _is_ascii_digits, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
 from .verify import _check_gate, _check_n_max, count_sweep, verify_gate
@@ -28,6 +29,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY_FAILED = 3
+
+#: The largest n that `graph` exports; its DOT text has about n^2 arcs.
+GRAPH_MAX_N = 300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _ascii_int(text: str) -> int:
     """Value of a numeric option: ASCII digits only, so '３' or '-1' is a usage error."""
     if not _is_ascii_digits(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+        raise argparse.ArgumentTypeError(f"{_excerpt(text)} is not an integer in ASCII digits")
     return int(text)
 
 
@@ -114,17 +118,24 @@ def cmd_regions(args) -> int:
     check_nk(args.n, args.k)
     check_budget(args.n, "region enumeration")
     spec = build_arrangement(args.n, args.k)
+    scale = spec.n + 1
+
+    def leaves():
+        # the regions streamed leaf by leaf, each witness checked in integers
+        for signs, point, label in _leaves(spec):
+            _certify(spec, signs, point, scale)
+            yield signs, label
+
     with _opened(args.out, sys.stdout) as out:
-        pairs = enumerate_regions(spec)
         if args.format == "json":
-            out.writelines(_regions_json(region_record(spec, r, label) for r, label in pairs))
+            out.writelines(_regions_json(_record(spec, s, label) for s, label in leaves()))
         elif args.format == "csv":
-            out.writelines(",".join(map(str, label.entries)) + "\n" for _, label in pairs)
+            out.writelines(",".join(map(str, label)) + "\n" for _, label in leaves())
         else:  # text
             out.writelines(
-                f"{region.sign_string()}  w={''.join(map(str, _read(spec, region.signs)[0]))}"
-                f"  label={label}\n"
-                for region, label in pairs
+                f"{_sign_string(s)}  w={''.join(map(str, _read(spec, s)[0]))}"
+                f"  label={Label(label)}\n"
+                for s, label in leaves()
             )
     return EXIT_OK
 
@@ -150,6 +161,9 @@ def cmd_burn(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    check_nk(args.n, args.k)
+    if args.n > GRAPH_MAX_N:
+        raise BudgetError(f"graph export for n={args.n} exceeds the fixed cap {GRAPH_MAX_N}")
     if args.rooted:
         text = rooted_to_dot(build_rooted(args.n, args.k))
     else:
@@ -216,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_burn.set_defaults(func=cmd_burn)
 
     p_graph = sub.add_parser("graph", help="DOT export of the (rooted) multigraph")
-    p_graph.add_argument("--n", type=_ascii_int, required=True)
+    p_graph.add_argument(
+        "--n", type=_ascii_int, required=True, help=f"at most {GRAPH_MAX_N}; above it exit 2"
+    )
     p_graph.add_argument("--k", type=_ascii_int, required=True)
     p_graph.add_argument("--rooted", action="store_true")
     p_graph.add_argument("--out", default=None)

@@ -54,6 +54,12 @@ def _is_ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _excerpt(value) -> str:
+    """`repr(value)` for an error message, cut to its first 40 characters plus "…"."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:40] + "…"
+
+
 @dataclass(frozen=True)
 class Word:
     """An n-tuple whose entries all lie in [1, n]."""
@@ -67,7 +73,7 @@ class Word:
             raise ValueError("a word needs at least one entry")
         for v in self.values:
             if not isinstance(v, int) or not 1 <= v <= n:
-                raise ValueError(f"word entry {v!r} outside [1, {n}]")
+                raise ValueError(f"word entry {_excerpt(v)} outside [1, {n}]")
 
     @property
     def n(self) -> int:
@@ -109,18 +115,18 @@ class Word:
             # one "[" and no "{", so nesting never reaches json's recursion limit
             values = json.loads(text) if text.count("[") == 1 and "{" not in text else None
             if not isinstance(values, list) or any(type(v) is not int for v in values):
-                raise ValueError(f"{text!r} is not a JSON array of integers")
+                raise ValueError(f"{_excerpt(text)} is not a JSON array of integers")
             return cls(tuple(values))
         if "," in text:
             parts = [part.strip() for part in text.split(",")]
             if not all(_is_ascii_digits(part) for part in parts):
-                raise ValueError(f"{text!r} is not a comma-separated list of integers")
+                raise ValueError(f"{_excerpt(text)} is not a comma-separated list of integers")
             return cls(tuple(int(part) for part in parts))
         if _is_ascii_digits(text):
             if len(text) > 9:
                 raise ValueError("digit-string input is only accepted for n <= 9")
             return cls(tuple(int(ch) for ch in text))
-        raise ValueError(f"cannot parse a word from {text!r}")
+        raise ValueError(f"cannot parse a word from {_excerpt(text)}")
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,28 @@ once.  Each cell sweeps [n]^n once, over raw tuples, through the private
 kernels that the public predicates wrap: `_burn` and `_subset_parking`
 from `graphs`, and `_parks_tail`, `_witness_of` and `_witness_holds`
 from `parking`.
+
+A word of [n]^n is handled by its rank, its index in
+`itertools.product(range(1, n + 1), repeat=n)`, and each characterization
+is a `bytearray(n**n)` holding 1 at the ranks of its words: counts are
+`.count(1)` and equal sets are equal bytes.  The region labels come
+straight off the leaf generator `arrangement._leaves`, each leaf's witness
+checked in integers, with no `Region` or `Label` built; a label with an
+entry outside [1, n] has no rank and is kept apart as a tuple, so it
+still counts and still shows as a mismatch.  Rank order is the
+lexicographic order of the tuples, so mismatch samples decode the first
+differing ranks in sorted order.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, islice, product
+from operator import gt, mul
 from typing import Callable
 
-from .arrangement import build_arrangement, enumerate_regions
+from .arrangement import _certify, _leaves, build_arrangement
 from .core import Word, check_budget, compose
 from .graphs import _burn, _subset_parking, build_gkn, build_rooted, dfs_burn
 from .parking import (
@@ -61,14 +73,37 @@ class EquivalenceReport:
         }
 
 
-#: (n, k) -> (number of regions, set of their labels); see `_region_labels`.
-_RegionLabels = Callable[[int, int], tuple[int, frozenset]]
+#: The labels of one arrangement: the number of leaves, a bytearray over the
+#: ranks of [n]^n marking the labels, and the labels with an entry outside
+#: [1, n], which have no rank, as tuples.
+_Labels = tuple[int, bytearray, frozenset]
+
+#: (n, k) -> the arrangement's labels; see `_region_labels`.
+_RegionLabels = Callable[[int, int], _Labels]
 
 
-def _region_labels(n: int, k: int) -> tuple[int, frozenset]:
-    """Number of regions of the (n, k) arrangement and the set of their labels."""
-    pairs = enumerate_regions(build_arrangement(n, k))
-    return len(pairs), frozenset(label.entries for _, label in pairs)
+def _words(n: int):
+    """The words of [n]^n as tuples, in rank order."""
+    return product(range(1, n + 1), repeat=n)
+
+
+def _region_labels(n: int, k: int) -> _Labels:
+    """The labels of the (n, k) arrangement, every leaf's witness certified."""
+    spec = build_arrangement(n, k)
+    scale = n + 1
+    weights = [n**e for e in range(n - 1, -1, -1)]
+    base = sum(weights)  # the rank offset of the all-ones word
+    ranks = bytearray(n**n)
+    unranked = set()
+    regions = 0
+    for signs, point, label in _leaves(spec):
+        _certify(spec, signs, point, scale)
+        regions += 1
+        if 1 <= min(label) and max(label) <= n:
+            ranks[sum(map(mul, label, weights)) - base] = 1
+        else:
+            unranked.add(label)
+    return regions, ranks, frozenset(unranked)
 
 
 def _word_sets(n: int, k: int):
@@ -77,67 +112,72 @@ def _word_sets(n: int, k: int):
     Per word the burn runs once, and tail parking and `_witness_of` (the
     sorted-tail centre and the witness read off it) run once: "definition"
     is k-partiality, and "sigma" holds the words whose witness passes the
-    explicit condition check.
+    explicit condition check.  Each set is a bytearray over the ranks.
     Last comes the number of words that park the tail.
     """
     rooted = build_rooted(n, k)
     subset_parks = _subset_parking(build_gkn(n, k))
-    burning = set()
-    definition = set()
-    sigma = set()
-    subsets = set()
+    burning = bytearray(n**n)
+    definition = bytearray(n**n)
+    sigma = bytearray(n**n)
+    subsets = bytearray(n**n)
     tail_parkers = 0
-    for vals in product(range(1, n + 1), repeat=n):
+    for rank, vals in enumerate(_words(n)):
         if len(_burn(rooted, vals)[0]) == n + 1:
-            burning.add(vals)
+            burning[rank] = 1
         if subset_parks(vals):
-            subsets.add(vals)
+            subsets[rank] = 1
         if not _parks_tail(vals, k):
             continue
         tail_parkers += 1
         images = _witness_of(vals, k)
         if images is None:
             continue
-        definition.add(vals)
+        definition[rank] = 1
         if _witness_holds(vals, k, images):
-            sigma.add(vals)
+            sigma[rank] = 1
     return burning, definition, sigma, subsets, tail_parkers
 
 
-def _sample(values, limit: int = 10) -> list[list[int]]:
-    return [list(v) for v in sorted(values)[:limit]]
+def _sample(n: int, have: bytearray, lack: bytearray, extra=()) -> list[list[int]]:
+    """The first 10 words, in lexicographic order, of `extra` and of the ranks
+    set in `have` but not in `lack`."""
+    differing = islice(compress(_words(n), map(gt, have, lack)), 10)
+    return [list(v) for v in sorted([*differing, *extra])[:10]]
 
 
 def cross_validate(n: int, k: int) -> EquivalenceReport:
     """Compare the five characterizations over all of [n]^n; refused above the size budget."""
     check_budget(n, "cross-validation")
-    return _cell(n, k, _region_labels(n, k)[1])[0]
+    return _cell(n, k, _region_labels(n, k))[0]
 
 
-def _cell(n: int, k: int, label_set: frozenset) -> tuple[EquivalenceReport, int]:
-    """`cross_validate` against an enumerated label set, plus the cell's tail-parker count."""
+def _cell(n: int, k: int, labels: _Labels) -> tuple[EquivalenceReport, int]:
+    """`cross_validate` against an arrangement's labels, plus the cell's tail-parker count."""
+    _, reference, unranked = labels
     burning, definition, sigma, subsets, tail_parkers = _word_sets(n, k)
 
     named = {
-        "labels": label_set,
         "burning": burning,
         "subsets": subsets,
         "definition": definition,
         "sigma": sigma,
     }
-    counts = {name: len(s) for name, s in named.items()}
+    counts = {
+        "labels": reference.count(1) + len(unranked),
+        **{name: s.count(1) for name, s in named.items()},
+    }
 
     mismatches = []
-    reference = named["labels"]
     for name in CHARACTERIZATIONS[1:]:
         other = named[name]
-        if other == reference:
+        if other == reference and not unranked:
             continue
         mismatches.append(
             {
                 "characterization": name,
-                "missing_from_labels": _sample(other - reference),
-                "missing_from_other": _sample(reference - other),
+                "missing_from_labels": _sample(n, other, reference),
+                "missing_from_other": _sample(n, reference, other, unranked),
             }
         )
     expected = (n + 1) ** (n - 1)
@@ -158,7 +198,8 @@ def _tables(labels: _RegionLabels) -> dict:
     """
 
     def label_strings(n: int, k: int) -> set[str]:
-        return {"".join(map(str, entries)) for entries in labels(n, k)[1]}
+        _, ranks, unranked = labels(n, k)
+        return {"".join(map(str, e)) for e in (*compress(_words(n), ranks), *unranked)}
 
     checks = []
 
@@ -232,7 +273,7 @@ def count_sweep(n_max: int) -> dict:
     """
     _check_n_max(n_max, "count sweep")
     tails = {
-        (n, k): sum(_parks_tail(vals, k) for vals in product(range(1, n + 1), repeat=n))
+        (n, k): sum(_parks_tail(vals, k) for vals in _words(n))
         for n in range(2, n_max + 1)
         for k in range(2, n + 1)
     }
@@ -288,7 +329,7 @@ def verify_gate(n_max: int) -> dict:
     labels = functools.cache(_region_labels)
     tables = _tables(labels)
     every = [(n, k) for n in range(2, n_max + 1) for k in range(2, n + 1)]
-    per_cell = {(n, k): _cell(n, k, labels(n, k)[1]) for n, k in every}
+    per_cell = {(n, k): _cell(n, k, labels(n, k)) for n, k in every}
     cells = [report.to_json() for report, _ in per_cell.values()]
     counts = _counts(n_max, labels, {nk: tails for nk, (_, tails) in per_cell.items()})
     passed = all(c["pass"] for c in cells) and tables["pass"] and counts["pass"]

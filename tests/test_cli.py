@@ -294,6 +294,31 @@ def test_graph_dot_export(capsys):
     assert '1 -> 4 [label="8"]' in out
 
 
+@pytest.mark.parametrize("rooted", [(), ("--rooted",)])
+def test_graph_refuses_an_n_above_its_cap_before_building(capsys, monkeypatch, tmp_path, rooted):
+    def must_not_run(*args):
+        raise AssertionError("the graph was built before the cap check")
+
+    monkeypatch.setenv("SHIISH_MAX_N", "1000")  # the cap does not follow the budget
+    monkeypatch.setattr(cli, "build_gkn", must_not_run)
+    monkeypatch.setattr(cli, "build_rooted", must_not_run)
+    target = tmp_path / "g.dot"
+    for n in (str(cli.GRAPH_MAX_N + 1), "100000"):
+        code, out, err = run(capsys, "graph", "--n", n, "--k", "3", *rooted, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("refused: ") and f"cap {cli.GRAPH_MAX_N}" in err
+        assert not target.exists()
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "graph", "--n", str(cli.GRAPH_MAX_N), "--k", "3", *rooted)
+    assert code == 0 and out.startswith("digraph")
+
+
+def test_graph_help_states_the_cap(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["graph", "--help"])
+    assert f"at most {cli.GRAPH_MAX_N}" in capsys.readouterr().out
+
+
 def test_verify_pass_and_report(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--n-max", "3", "--json", str(out_file))
@@ -366,13 +391,27 @@ def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, mon
         raise AssertionError("work started before the output path was opened")
 
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
-    monkeypatch.setattr(cli, "enumerate_regions", must_not_run)
+    monkeypatch.setattr(cli, "_leaves", must_not_run)
     monkeypatch.setattr(cli, "verify_gate", must_not_run)
     monkeypatch.setattr(cli, "count_sweep", must_not_run)
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, *argv, str(target))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_regions_certifies_every_streamed_leaf(capsys, monkeypatch, fmt):
+    leaves = cli._leaves
+
+    def corrupt(spec):
+        for index, (signs, point, label) in enumerate(leaves(spec)):
+            yield signs, point if index < 3 else (0,) * spec.n, label
+
+    monkeypatch.setattr(cli, "_leaves", corrupt)
+    code, _, err = run(capsys, "regions", "--n", "3", "--k", "3", "--format", fmt)
+    assert code == 1
+    assert err.startswith("error: witness violates")
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,31 @@ def test_word_parse_forms():
             Word.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 5000 + "]" * 5000,
+        "[" + "9" * 4000 + "]",
+        "1," + "9" * 4000,
+        "1," * 5000 + "x",
+        "\x00" * 5000,
+        "\U000e0001" * 5000,
+        "字" * 5000,
+    ],
+)
+def test_word_parse_error_echoes_a_short_excerpt(text):
+    with pytest.raises(ValueError) as info:
+        Word.parse(text)
+    message = str(info.value)
+    assert len(message.encode()) < 200
+    assert "…" in message
+
+
+def test_word_parse_error_echoes_short_input_whole():
+    with pytest.raises(ValueError, match=r"^cannot parse a word from 'not a word'$"):
+        Word.parse("not a word")
+
+
 def test_word_compact_and_json():
     w = Word((4, 2, 1, 3))
     assert w.compact() == "4213"

@@ -1,6 +1,7 @@
 """The cross-validation harness and its reports."""
 
 import functools
+import itertools
 from collections import Counter
 
 import pytest
@@ -8,10 +9,13 @@ import pytest
 from oracles import all_words, word_sets_by_definition
 from shiish import (
     BudgetError,
+    arrangement,
+    build_arrangement,
     build_rooted,
     count_sweep,
     cross_validate,
     dfs_burn,
+    enumerate_regions,
     is_k_partial,
     parking,
     parks_all_tail,
@@ -111,11 +115,18 @@ def test_count_sweep_rejects_empty_range():
             count_sweep(n_max)
 
 
+def decoded(n, ranks):
+    """The words of [n]^n whose rank byte is set, as a set of tuples."""
+    return {w for w, bit in zip(itertools.product(range(1, n + 1), repeat=n), ranks) if bit}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fused_sweep_matches_the_per_word_oracles(n):
     # burning, definition, sigma and subsets, set for set, and the tail parkers
     for k in range(2, n + 1):
-        assert _word_sets(n, k) == word_sets_by_definition(n, k)
+        *sets, tail_parkers = _word_sets(n, k)
+        assert all(len(s) == n**n and set(s) <= {0, 1} for s in sets)
+        assert (*(decoded(n, s) for s in sets), tail_parkers) == word_sets_by_definition(n, k)
 
 
 def test_sigma_set_goes_through_the_witness_check(monkeypatch):
@@ -130,13 +141,13 @@ def test_sigma_set_goes_through_the_witness_check(monkeypatch):
 def test_verify_enumerates_each_arrangement_once_per_run(monkeypatch, capsys):
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     calls = Counter()
-    enumerate_regions = verify.enumerate_regions
+    leaves = verify._leaves
 
     def counting(spec):
         calls[(spec.n, spec.k)] += 1
-        return enumerate_regions(spec)
+        return leaves(spec)
 
-    monkeypatch.setattr(verify, "enumerate_regions", counting)
+    monkeypatch.setattr(verify, "_leaves", counting)
     every = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
     assert main(["verify", "--n-max", "5"]) == 0
     assert calls == Counter(every)
@@ -184,3 +195,121 @@ def test_verify_gate_refuses_before_any_work(monkeypatch):
     monkeypatch.setenv("SHIISH_MAX_N", "3")
     with pytest.raises(BudgetError):
         verify_gate(3)
+
+
+def patch_labels(monkeypatch, change):
+    """Route the gate's leaves through `change(n, index, label)`, a patched label bump."""
+    leaves = verify._leaves
+
+    def patched(spec):
+        for index, (signs, point, label) in enumerate(leaves(spec)):
+            yield signs, point, change(spec.n, index, label)
+
+    monkeypatch.setattr(verify, "_leaves", patched)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+@pytest.mark.parametrize("shift", ["above", "zero"])
+def test_label_entry_outside_one_to_n_is_a_reported_mismatch(monkeypatch, pos, shift):
+    # an entry past n would index past the rank array or wrap onto another
+    # word, and an entry 0 would wrap through a negative index
+    n = 3
+    labels = [label for _, _, label in verify._leaves(build_arrangement(n, 3))]
+    original = labels[5]
+    entry = original[pos] + n if shift == "above" else 0
+    bad = original[:pos] + (entry,) + original[pos + 1 :]
+    patch_labels(monkeypatch, lambda n, i, label: bad if i == 5 else label)
+    report = cross_validate(n, 3)
+    assert report.passed is False
+    assert report.counts["labels"] == 16
+    assert [m["characterization"] for m in report.mismatches] == list(verify.CHARACTERIZATIONS[1:])
+    for m in report.mismatches:
+        assert m["missing_from_labels"] == [list(original)]
+        assert m["missing_from_other"] == [list(bad)]
+
+
+def test_extra_leaf_with_an_unranked_label_is_a_reported_mismatch(monkeypatch):
+    # every true label is still there, so only the unranked one differs
+    leaves = verify._leaves
+
+    def extra(spec):
+        for signs, point, label in leaves(spec):
+            yield signs, point, label
+        yield signs, point, (spec.n + 1,) * spec.n
+
+    monkeypatch.setattr(verify, "_leaves", extra)
+    report = cross_validate(3, 3)
+    assert report.passed is False
+    assert report.counts["labels"] == 17
+    for m in report.mismatches:
+        assert m["missing_from_labels"] == []
+        assert m["missing_from_other"] == [[4, 4, 4]]
+    assert len(report.mismatches) == 4
+
+
+def test_duplicate_label_fails_the_cell_and_the_counts_stay_apart(monkeypatch):
+    # leaf 1 repeats leaf 0's label: 16 leaves, 15 distinct labels
+    first = {}
+
+    def duplicate(n, i, label):
+        first.setdefault(n, label)
+        return first[n] if i == 1 else label
+
+    patch_labels(monkeypatch, duplicate)
+    report = verify_gate(3)
+    by_nk = {(c["n"], c["k"]): c for c in report["cells"]}
+    counts = {(c["n"], c["k"]): c for c in report["counts"]["cells"]}
+    for n, k in [(2, 2), (3, 2), (3, 3)]:
+        assert by_nk[n, k]["pass"] is False
+        assert by_nk[n, k]["counts"]["labels"] == (n + 1) ** (n - 1) - 1
+        assert counts[n, k]["regions"] == (n + 1) ** (n - 1)
+        assert len(by_nk[n, k]["mismatches"]) == 4
+    assert report["pass"] is False
+
+
+def test_gate_builds_no_region_or_label(monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("the gate built a per-leaf object")
+
+    monkeypatch.setattr(arrangement, "Region", must_not_build)
+    monkeypatch.setattr(arrangement, "Label", must_not_build)
+    assert verify_gate(4)["pass"]
+
+
+def test_gate_certifies_every_leaf(monkeypatch):
+    # a corrupt witness point is refused, not counted
+    leaves = verify._leaves
+
+    def corrupt(spec):
+        for signs, point, label in leaves(spec):
+            yield signs, (0,) * spec.n, label
+
+    monkeypatch.setattr(verify, "_leaves", corrupt)
+    with pytest.raises(ValueError, match="witness violates"):
+        cross_validate(3, 2)
+
+
+def test_mismatch_samples_are_the_first_ten_sorted_tuples(monkeypatch):
+    n, k = 4, 3
+    labels = {label.entries for _, label in enumerate_regions(build_arrangement(n, k))}
+    words = set(itertools.product(range(1, n + 1), repeat=n))
+    # no word passes the witness check: sigma misses every label
+    monkeypatch.setattr(verify, "_witness_holds", lambda *args: False)
+    # every word passes the subset test: subsets holds every non-label
+    monkeypatch.setattr(verify, "_subset_parking", lambda graph: lambda vals: True)
+    report = cross_validate(n, k)
+    samples = {m["characterization"]: m for m in report.mismatches}
+    assert samples["sigma"]["missing_from_other"] == [list(t) for t in sorted(labels)[:10]]
+    assert samples["sigma"]["missing_from_labels"] == []
+    assert samples["subsets"]["missing_from_labels"] == [
+        list(t) for t in sorted(words - labels)[:10]
+    ]
+    assert samples["subsets"]["missing_from_other"] == []
+
+    # an unranked label takes its sorted place among the samples
+    low = (0,) + min(labels)[1:]
+    patch_labels(monkeypatch, lambda n, i, label: low if label == max(labels) else label)
+    report = cross_validate(n, k)
+    samples = {m["characterization"]: m for m in report.mismatches}
+    patched = labels - {max(labels)} | {low}
+    assert samples["sigma"]["missing_from_other"] == [list(t) for t in sorted(patched)[:10]]
