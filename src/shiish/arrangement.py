@@ -7,9 +7,9 @@ difference-bound matrix (DBM) over scaled integers, kept closed as one
 constraint at a time is added; an integer witness point falls out of the
 closure.  Regions are enumerated by depth-first search over sign vectors,
 the label carried down the search path; `label_from_description` labels a
-region a second, independent way.  One leaf generator (`_leaves`) serves the
-public list, the `regions` export and the verify gate, and each of them
-checks every leaf's witness in integers with `_certify`.
+region a second, independent way.  Each chamber's witness is checked in
+integers (`_certify`) exactly once: `_leaves` certifies the search's chambers
+for the `regions` export and the verify gate, `Region` those of the list.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def _increment_index(hp: Hyperplane) -> int:
     return hp.p if hp.c == 0 else hp.q
 
 
-def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     """(signs, point, label) of every chamber, sorted by sign vector, by depth-first sign search.
 
     The search branches on the hyperplanes in index order, BELOW before
@@ -263,7 +263,7 @@ def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     infeasible sides are cut at once and every leaf is a chamber.  The label,
     all-ones plus one increment per side off the base chamber's, is carried
     down the path.  `point` is the potential X_i = min_j D[j][i], a witness
-    over scale n + 1 that each consumer checks with `_certify`.  No budget
+    over scale n + 1 that `_leaves` or `Region` certifies.  No budget
     check: callers refuse an oversized n first.
     """
     n = spec.n
@@ -298,16 +298,23 @@ def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
             yield tuple(signs), tuple(map(min, zip(*dbm))), label
 
 
-def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
-    """All chambers with their labels, sorted by sign vector (`_leaves`).
+def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """`_search`'s (signs, point, label) per chamber, each one certified before it is yielded."""
+    for leaf in _search(spec):
+        _certify(spec, leaf[0], leaf[1], spec.n + 1)
+        yield leaf
 
-    The Region constructor checks each leaf's witness in integers.  Refused
-    above the size budget.
+
+def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
+    """All chambers with their labels, sorted by sign vector (`_search`).
+
+    It reads the raw search, since the Region constructor certifies each
+    chamber.  Refused above the size budget.
     """
     check_budget(spec.n, "region enumeration")
     scale = spec.n + 1
     return [
-        (Region(spec, signs, point, scale), Label(label)) for signs, point, label in _leaves(spec)
+        (Region(spec, signs, point, scale), Label(label)) for signs, point, label in _search(spec)
     ]
 
 

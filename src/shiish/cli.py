@@ -19,8 +19,8 @@ import json
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .arrangement import _certify, _leaves, _read, _record, _sign_string, build_arrangement
-from .core import BudgetError, Label, Word, _excerpt, _is_ascii_digits, check_budget, check_nk
+from .arrangement import _leaves, _read, _record, _sign_string, build_arrangement
+from .core import BudgetError, Label, Word, _ascii_int, _excerpt, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
 from .verify import _check_gate, _check_n_max, count_sweep, verify_gate
@@ -42,11 +42,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _ascii_int(text: str) -> int:
-    """Value of a numeric option: ASCII digits only, so '３' or '-1' is a usage error."""
-    if not _is_ascii_digits(text):
-        raise argparse.ArgumentTypeError(f"{_excerpt(text)} is not an integer in ASCII digits")
-    return int(text)
+def _option_int(text: str) -> int:
+    """`core._ascii_int` as an argparse `type`: argparse echoes the whole value
+    of a ValueError, so its message is re-raised as an ArgumentTypeError."""
+    try:
+        return _ascii_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @contextlib.contextmanager
@@ -109,7 +111,7 @@ def _parse_ks(raw: str, n: int) -> list[int]:
     if raw == "all":
         check_nk(n, 2)
         return list(range(2, n + 1))
-    k = _ascii_int(raw)
+    k = _ascii_int(raw, "--k")
     check_nk(n, k)
     return [k]
 
@@ -118,24 +120,16 @@ def cmd_regions(args) -> int:
     check_nk(args.n, args.k)
     check_budget(args.n, "region enumeration")
     spec = build_arrangement(args.n, args.k)
-    scale = spec.n + 1
-
-    def leaves():
-        # the regions streamed leaf by leaf, each witness checked in integers
-        for signs, point, label in _leaves(spec):
-            _certify(spec, signs, point, scale)
-            yield signs, label
-
     with _opened(args.out, sys.stdout) as out:
         if args.format == "json":
-            out.writelines(_regions_json(_record(spec, s, label) for s, label in leaves()))
+            out.writelines(_regions_json(_record(spec, s, label) for s, _, label in _leaves(spec)))
         elif args.format == "csv":
-            out.writelines(",".join(map(str, label)) + "\n" for _, label in leaves())
+            out.writelines(",".join(map(str, label)) + "\n" for _, _, label in _leaves(spec))
         else:  # text
             out.writelines(
                 f"{_sign_string(s)}  w={''.join(map(str, _read(spec, s)[0]))}"
                 f"  label={Label(label)}\n"
-                for s, label in leaves()
+                for s, _, label in _leaves(spec)
             )
     return EXIT_OK
 
@@ -163,7 +157,8 @@ def cmd_burn(args) -> int:
 def cmd_graph(args) -> int:
     check_nk(args.n, args.k)
     if args.n > GRAPH_MAX_N:
-        raise BudgetError(f"graph export for n={args.n} exceeds the fixed cap {GRAPH_MAX_N}")
+        n = _excerpt(args.n)
+        raise BudgetError(f"graph export for n={n} exceeds the fixed cap {GRAPH_MAX_N}")
     if args.rooted:
         text = rooted_to_dot(build_rooted(args.n, args.k))
     else:
@@ -210,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_regions = sub.add_parser("regions", help="enumerate the regions of one arrangement")
-    p_regions.add_argument("--n", type=_ascii_int, required=True)
-    p_regions.add_argument("--k", type=_ascii_int, required=True)
+    p_regions.add_argument("--n", type=_option_int, required=True)
+    p_regions.add_argument("--k", type=_option_int, required=True)
     p_regions.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_regions.add_argument("--out", default=None)
     p_regions.set_defaults(func=cmd_regions)
@@ -231,26 +226,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="DOT export of the (rooted) multigraph")
     p_graph.add_argument(
-        "--n", type=_ascii_int, required=True, help=f"at most {GRAPH_MAX_N}; above it exit 2"
+        "--n", type=_option_int, required=True, help=f"at most {GRAPH_MAX_N}; above it exit 2"
     )
-    p_graph.add_argument("--k", type=_ascii_int, required=True)
+    p_graph.add_argument("--k", type=_option_int, required=True)
     p_graph.add_argument("--rooted", action="store_true")
     p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="cross-validate all characterizations")
-    p_verify.add_argument("--n-max", type=_ascii_int, default=4)
+    p_verify.add_argument("--n-max", type=_option_int, default=4)
     p_verify.add_argument("--json", default=None, help="write the merged JSON report here")
     p_verify.add_argument(
         "--workers",
-        type=_ascii_int,
+        type=_option_int,
         default=1,
         help="accepted and ignored: sweeps run in one process",
     )
     p_verify.set_defaults(func=cmd_verify)
 
     p_count = sub.add_parser("count", help="region and tail-parker count table")
-    p_count.add_argument("--n-max", type=_ascii_int, default=5)
+    p_count.add_argument("--n-max", type=_option_int, default=5)
     p_count.add_argument("--format", choices=("text", "json"), default="text")
     p_count.add_argument("--out", default=None)
     p_count.set_defaults(func=cmd_count)

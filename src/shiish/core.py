@@ -26,11 +26,7 @@ def size_budget() -> int:
     every one of its checks, so no output depends on it.
     """
     raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        return DEFAULT_MAX_N
-    if not _is_ascii_digits(raw):
-        raise ValueError(f"{ENV_MAX_N}={raw!r} is not a non-negative integer")
-    return int(raw)
+    return DEFAULT_MAX_N if raw is None else _ascii_int(raw, ENV_MAX_N)
 
 
 def check_budget(n: int, what: str) -> None:
@@ -38,7 +34,8 @@ def check_budget(n: int, what: str) -> None:
     limit = size_budget()
     if n > limit:
         raise BudgetError(
-            f"{what} for n={n} exceeds the size budget {limit} (set {ENV_MAX_N} to raise it)"
+            f"{what} for n={_excerpt(n)} exceeds the size budget {limit}"
+            f" (set {ENV_MAX_N} to raise it)"
         )
 
 
@@ -47,11 +44,23 @@ def check_nk(n: int, k: int) -> None:
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     if not 2 <= k <= n:
-        raise ValueError(f"k={k} outside [2, {n}]")
+        raise ValueError(f"k={_excerpt(k)} outside [2, {_excerpt(n)}]")
 
 
-def _is_ascii_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
+def _ascii_int(text: str, what: str) -> int:
+    """`int(text)` for ASCII digits that int() converts, else a ValueError naming `what`."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} {_excerpt(text)} is not an integer in ASCII digits")
+    try:
+        return int(text)
+    except ValueError:  # past int()'s digit limit
+        raise ValueError(f"{what} {_excerpt(text)} has too many ASCII digits") from None
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer entry of a word: its sign kept, its digits read by `_ascii_int`."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    return sign * _ascii_int(digits, "word entry")
 
 
 def _excerpt(value) -> str:
@@ -113,16 +122,19 @@ class Word:
         text = text.strip()
         if text.startswith("["):
             # one "[" and no "{", so nesting never reaches json's recursion limit
-            values = json.loads(text) if text.count("[") == 1 and "{" not in text else None
+            nested = text.count("[") != 1 or "{" in text
+            values = None if nested else json.loads(text, parse_int=_json_int)
             if not isinstance(values, list) or any(type(v) is not int for v in values):
                 raise ValueError(f"{_excerpt(text)} is not a JSON array of integers")
             return cls(tuple(values))
         if "," in text:
-            parts = [part.strip() for part in text.split(",")]
-            if not all(_is_ascii_digits(part) for part in parts):
-                raise ValueError(f"{_excerpt(text)} is not a comma-separated list of integers")
-            return cls(tuple(int(part) for part in parts))
-        if _is_ascii_digits(text):
+            try:
+                values = [_ascii_int(part.strip(), "word entry") for part in text.split(",")]
+            except ValueError:
+                message = f"{_excerpt(text)} is not a comma-separated list of integers"
+                raise ValueError(message) from None
+            return cls(tuple(values))
+        if text.isascii() and text.isdigit():
             if len(text) > 9:
                 raise ValueError("digit-string input is only accepted for n <= 9")
             return cls(tuple(int(ch) for ch in text))

@@ -21,12 +21,12 @@ A word of [n]^n is handled by its rank, its index in
 `itertools.product(range(1, n + 1), repeat=n)`, and each characterization
 is a `bytearray(n**n)` holding 1 at the ranks of its words: counts are
 `.count(1)` and equal sets are equal bytes.  The region labels come
-straight off the leaf generator `arrangement._leaves`, each leaf's witness
-checked in integers, with no `Region` or `Label` built; a label with an
-entry outside [1, n] has no rank and is kept apart as a tuple, so it
-still counts and still shows as a mismatch.  Rank order is the
-lexicographic order of the tuples, so mismatch samples decode the first
-differing ranks in sorted order.
+straight off `arrangement._leaves`, which yields only chambers whose
+witnesses it has checked in integers, and no `Region` or `Label` is
+built; a label with an entry outside [1, n] has no rank and is kept apart
+as a tuple, so it still counts and still shows as a mismatch.  Rank order
+is the lexicographic order of the tuples, so mismatch samples decode the
+first differing ranks in sorted order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import compress, islice, product
 from operator import gt, mul
 from typing import Callable
 
-from .arrangement import _certify, _leaves, build_arrangement
+from .arrangement import _leaves, build_arrangement
 from .core import Word, check_budget, compose
 from .graphs import _burn, _subset_parking, build_gkn, build_rooted, dfs_burn
 from .parking import (
@@ -88,16 +88,13 @@ def _words(n: int):
 
 
 def _region_labels(n: int, k: int) -> _Labels:
-    """The labels of the (n, k) arrangement, every leaf's witness certified."""
-    spec = build_arrangement(n, k)
-    scale = n + 1
+    """The labels of the (n, k) arrangement, off the certified stream `_leaves`."""
     weights = [n**e for e in range(n - 1, -1, -1)]
     base = sum(weights)  # the rank offset of the all-ones word
     ranks = bytearray(n**n)
     unranked = set()
     regions = 0
-    for signs, point, label in _leaves(spec):
-        _certify(spec, signs, point, scale)
+    for _, _, label in _leaves(build_arrangement(n, k)):
         regions += 1
         if 1 <= min(label) and max(label) <= n:
             ranks[sum(map(mul, label, weights)) - base] = 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import shiish
-from shiish import build_arrangement, cli, enumerate_regions, region_record, verify
+from shiish import arrangement, build_arrangement, cli, enumerate_regions, region_record, verify
 from shiish.cli import main
 
 
@@ -67,6 +67,35 @@ def test_regions_budget_refusal(capsys, monkeypatch):
     assert run(capsys, "regions", "--n", "4", "--k", "9")[:2] == (1, "")
 
 
+def short_error(err: str) -> bool:
+    """Whether stderr is short: each line under 200 bytes, all of it under 400,
+    and no advice on Python's integer-string limit."""
+    return (
+        len(err.encode()) < 400
+        and all(len(line.encode()) < 200 for line in err.splitlines())
+        and "set_int_max_str_digits" not in err
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("regions", "--n", "9" * 4000, "--k", "3"), 2),
+        (("count", "--n-max", "9" * 4000), 2),
+        (("verify", "--n-max", "9" * 4000), 2),
+        (("graph", "--n", "9" * 4000, "--k", "3"), 2),
+        (("regions", "--n", "3", "--k", "9" * 4000), 1),
+        (("burn", "4213", "--k", "9" * 4000), 1),
+    ],
+)
+def test_refusal_of_a_long_number_echoes_an_excerpt(capsys, monkeypatch, argv, code):
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (code, "")
+    assert err.count("\n") == 1 and "…" in err
+    assert short_error(err)
+
+
 def test_regions_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SHIISH_MAX_N", "3")
     code, _, err = run(capsys, "regions", "--n", "4", "--k", "2")
@@ -101,11 +130,14 @@ def test_budget_refusal_exits_2(capsys, monkeypatch, argv):
     ],
 )
 def test_non_integer_budget_exits_1(capsys, monkeypatch, argv):
-    monkeypatch.setenv("SHIISH_MAX_N", "six")
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert "SHIISH_MAX_N" in err
-    assert out == ""
+    # an over-long value is a usage error too, with a short message
+    for value in ("six", "x" * 5000, "9" * 5000):
+        monkeypatch.setenv("SHIISH_MAX_N", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "SHIISH_MAX_N" in err
+        assert out == ""
+        assert short_error(err)
 
 
 def test_polynomial_subcommands_ignore_the_budget(capsys, monkeypatch):
@@ -141,12 +173,18 @@ def test_verify_refuses_before_any_work(capsys, monkeypatch):
         ("verify", "--n-max", "\uff13"),
         ("verify", "--n-max", "3", "--workers", "\uff12"),
         ("count", "--n-max", "\uff13"),
+        # more digits than int() converts
+        ("regions", "--n", "9" * 5000, "--k", "3"),
+        ("verify", "--n-max", "9" * 5000),
+        ("verify", "--n-max", "3", "--workers", "9" * 5000),
+        ("check", "4213", "--k", "9" * 5000),
     ],
 )
 def test_numeric_options_take_ascii_digits_only(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "ASCII digits" in err
+    assert short_error(err)
 
 
 def test_verify_workers_is_accepted_and_ignored(capsys):
@@ -402,16 +440,36 @@ def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_regions_certifies_every_streamed_leaf(capsys, monkeypatch, fmt):
-    leaves = cli._leaves
+    # the search hands over a corrupt witness; the certified stream refuses it
+    search = arrangement._search
 
     def corrupt(spec):
-        for index, (signs, point, label) in enumerate(leaves(spec)):
+        for index, (signs, point, label) in enumerate(search(spec)):
             yield signs, point if index < 3 else (0,) * spec.n, label
 
-    monkeypatch.setattr(cli, "_leaves", corrupt)
+    monkeypatch.setattr(arrangement, "_search", corrupt)
     code, _, err = run(capsys, "regions", "--n", "3", "--k", "3", "--format", fmt)
     assert code == 1
     assert err.startswith("error: witness violates")
+
+
+def test_every_path_certifies_each_chamber_once(capsys, monkeypatch):
+    # a dropped certificate lowers the count and a doubled one raises it
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    certify = arrangement._certify
+    calls = []
+    monkeypatch.setattr(arrangement, "_certify", lambda *args: calls.append(certify(*args)))
+
+    def certified(action) -> int:
+        calls.clear()
+        action()
+        return len(calls)
+
+    for fmt in ("json", "csv", "text"):
+        argv = ("regions", "--n", "4", "--k", "3", "--format", fmt)
+        assert certified(lambda: run(capsys, *argv)) == 125
+    assert certified(lambda: verify.verify_gate(4)) == 3 + 2 * 16 + 3 * 125
+    assert certified(lambda: enumerate_regions(build_arrangement(4, 3))) == 125
 
 
 @pytest.mark.parametrize(

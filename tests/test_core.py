@@ -68,6 +68,9 @@ def test_word_parse_forms():
         "\x00" * 5000,
         "\U000e0001" * 5000,
         "字" * 5000,
+        # more digits than int() converts
+        pytest.param("[" + "9" * 5000 + "]", id="json-entry-of-5000-nines"),
+        pytest.param("9" * 5000 + ",1", id="comma-entry-of-5000-nines"),
     ],
 )
 def test_word_parse_error_echoes_a_short_excerpt(text):
@@ -76,6 +79,7 @@ def test_word_parse_error_echoes_a_short_excerpt(text):
     message = str(info.value)
     assert len(message.encode()) < 200
     assert "…" in message
+    assert "set_int_max_str_digits" not in message
 
 
 def test_word_parse_error_echoes_short_input_whole():

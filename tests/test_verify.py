@@ -277,16 +277,22 @@ def test_gate_builds_no_region_or_label(monkeypatch):
 
 
 def test_gate_certifies_every_leaf(monkeypatch):
-    # a corrupt witness point is refused, not counted
-    leaves = verify._leaves
+    # a corrupt witness point out of the search is refused, not counted, on every path
+    search = arrangement._search
 
     def corrupt(spec):
-        for signs, point, label in leaves(spec):
+        for signs, point, label in search(spec):
             yield signs, (0,) * spec.n, label
 
-    monkeypatch.setattr(verify, "_leaves", corrupt)
-    with pytest.raises(ValueError, match="witness violates"):
-        cross_validate(3, 2)
+    monkeypatch.setattr(arrangement, "_search", corrupt)
+    for sweep in (
+        lambda: cross_validate(3, 2),
+        lambda: verify_gate(4),
+        lambda: count_sweep(3),
+        lambda: enumerate_regions(build_arrangement(3, 2)),
+    ):
+        with pytest.raises(ValueError, match="witness violates"):
+            sweep()
 
 
 def test_mismatch_samples_are_the_first_ten_sorted_tuples(monkeypatch):
