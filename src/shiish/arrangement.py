@@ -84,7 +84,7 @@ class ArrangementSpec:
         object.__setattr__(self, "_max_offset", {(p, q): o[-1] for _, p, q, o in pairs if o})
         # (p - 1, q - 1, c) per hyperplane, the form `_certify` reads
         object.__setattr__(
-            self, "_planes", tuple((hp.p - 1, hp.q - 1, hp.c) for hp in self.hyperplanes)
+            self, "_zero_based", tuple((hp.p - 1, hp.q - 1, hp.c) for hp in self.hyperplanes)
         )
 
     def max_offset(self, i: int, j: int) -> int:
@@ -92,25 +92,28 @@ class ArrangementSpec:
         return self._max_offset.get((i, j), 0)
 
 
-def build_arrangement(n: int, k: int) -> ArrangementSpec:
-    """Canonical arrangement for (n, k); k = 2 is Shi, k = n is Ish.
+def _planes(n: int, k: int) -> list[tuple[int, int, int]]:
+    """The (n, k) family's hyperplanes x_p = x_q + c as (p, q, c) triples, sorted.
 
-    Hyperplanes: x_i = x_j for all i < j; x_1 = x_j + c for 1 <= c < min(j, k);
-    x_i = x_j + 1 for k <= i < j.  Sorted by (p, q, c).
+    Every pair p < q has its equality (c = 0); p = 1 adds x_1 = x_q + c for
+    1 <= c < min(q, k), and each k <= p < q adds x_p = x_q + 1.  The one
+    statement of the rule: the arrangement and both graphs read these triples.
     """
     check_nk(n, k)
-    planes = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            planes.add((i, j, 0))
-    for j in range(2, n + 1):
-        for c in range(1, min(j, k)):
-            planes.add((1, j, c))
-    for i in range(k, n + 1):
-        for j in range(i + 1, n + 1):
-            planes.add((i, j, 1))
-    ordered = tuple(Hyperplane(*t) for t in sorted(planes))
-    return ArrangementSpec(n, k, ordered)
+    return [
+        (p, q, c)
+        for p in range(1, n + 1)
+        for q in range(p + 1, n + 1)
+        for c in range(min(q, k) if p == 1 else 2 if p >= k else 1)
+    ]
+
+
+def build_arrangement(n: int, k: int) -> ArrangementSpec:
+    """Canonical arrangement for (n, k): one hyperplane per `_planes` triple.
+
+    k = 2 is Shi, k = n is Ish.
+    """
+    return ArrangementSpec(n, k, tuple(Hyperplane(*t) for t in _planes(n, k)))
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,10 @@ class Region:
     """A chamber, identified by its side of every hyperplane (0 below, 1 above).
 
     An interior point is kept alongside as n integers `point` over a common
-    positive integer `scale` (the point is point/scale); construction checks
-    in integers that it satisfies every strict inequality, so a Region
-    certifies its own non-emptiness.  Equality and hashing use the sign
-    vector only.
+    positive integer `scale` (the point is point/scale); construction refuses
+    any other number and checks in integers that the point satisfies every
+    strict inequality, so a Region certifies its own non-emptiness.
+    Equality and hashing use the sign vector only.
     """
 
     spec: ArrangementSpec = field(compare=False, repr=False)
@@ -137,6 +140,8 @@ class Region:
             raise ValueError("one sign per hyperplane required")
         if len(point) != spec.n:
             raise ValueError("witness point has the wrong dimension")
+        if not all(isinstance(x, int) for x in (*point, scale)):
+            raise ValueError("witness point and scale must be integers")
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
         for s in self.signs:
@@ -158,13 +163,13 @@ def _certify(spec: ArrangementSpec, signs, point, scale: int) -> None:
     The exact certificate of every chamber the search yields, whichever
     consumer reads it; raises ValueError at the first violated side.
     """
-    for s, (i, j, c) in zip(signs, spec._planes):
+    for s, (i, j, c) in zip(signs, spec._zero_based):
         diff = point[i] - point[j]
         if diff <= c * scale if s == ABOVE else diff >= c * scale:
             break
     else:
         return
-    hp = spec.hyperplanes[spec._planes.index((i, j, c))]
+    hp = spec.hyperplanes[spec._zero_based.index((i, j, c))]
     raise ValueError(f"witness violates {hp.equation()} on side {s}")
 
 
@@ -338,9 +343,9 @@ def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, 
     return tuple(order), tuple(windows), tuple(overflow)
 
 
-def describe(spec: ArrangementSpec, region: Region) -> RegionDescription:
-    """Read the coordinate order and per-pair difference windows off the signs."""
-    order, windows, overflow = _read(spec, region.signs)
+def describe(region: Region) -> RegionDescription:
+    """Read the coordinate order and per-pair difference windows off the region's signs."""
+    order, windows, overflow = _read(region.spec, region.signs)
     return RegionDescription(Permutation(order), frozenset(windows), frozenset(overflow))
 
 
@@ -381,14 +386,14 @@ def _kept_arcs(order: tuple[int, ...], windows) -> tuple[tuple[int, int, int], .
     )
 
 
-def draw_diagram(spec: ArrangementSpec, desc: RegionDescription) -> Diagram:
+def draw_diagram(desc: RegionDescription) -> Diagram:
     """The arc diagram of `desc`: its windows that survive the omission rule (`_kept_arcs`)."""
     return Diagram(desc.w, _kept_arcs(desc.w.images, sorted(desc.windows)))
 
 
-def region_record(spec: ArrangementSpec, region: Region, label: Label) -> dict:
+def region_record(region: Region, label: Label) -> dict:
     """JSON-ready record of one region, for file export; its sequences are tuples."""
-    return _record(spec, region.signs, label.entries)
+    return _record(region.spec, region.signs, label.entries)
 
 
 def _record(spec: ArrangementSpec, signs: tuple[int, ...], label: tuple[int, ...]) -> dict:

@@ -1,20 +1,23 @@
 """Multidigraphs attached to the interpolating arrangements and the burning run.
 
-For parameters (n, k) the graph has an arc (i, j) for every equality
-hyperplane x_i = x_j and an arc (j, i) for every offset hyperplane
-x_i = x_j + c.  Its rooted companion adds a vertex 0 joined to everything,
-reverses all arcs, and fixes a deterministic neighbor order; a depth-first
-burn over that order decides membership in the graph's parking-function set
-and, on success, produces a spanning tree; re-burning with raised entries
-turns the tree back into the word.
+For parameters (n, k) both graphs are read off the arrangement's hyperplane
+list (`arrangement._planes`), one arc per hyperplane.  The rooted companion
+adds a vertex 0 joined to everything, reverses all arcs, and fixes a
+deterministic neighbor order; a depth-first burn over that order decides
+membership in the graph's parking-function set and, on success, produces a
+spanning tree; re-burning with raised entries turns the tree back into the
+word.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .core import Word, check_budget, check_nk
+from .arrangement import _planes
+from .core import Word, check_budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,22 +45,13 @@ class MultiDiGraph:
 
 
 def build_gkn(n: int, k: int) -> MultiDiGraph:
-    """Graph for parameters (n, k): k = 2 gives the complete digraph.
+    """Graph for parameters (n, k), one arc per hyperplane of `_planes(n, k)`.
 
-    Arcs: (i, j) for every 1 <= i < j <= n; (j, 1) with multiplicity
-    min(j, k) - 1 for every j >= 2; (j, i) for every k <= i < j <= n.
-    The arcs (i, i + 1) alone join every vertex, so the graph is connected.
+    x_p = x_q gives the arc (p, q) and x_p = x_q + c the arc (q, p), so
+    k = 2 gives the complete digraph.  The arcs (i, i + 1) alone join every
+    vertex, so the graph is connected.
     """
-    check_nk(n, k)
-    counts: dict[tuple[int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-    for j in range(2, n + 1):
-        counts[(j, 1)] = counts.get((j, 1), 0) + min(j, k) - 1
-    for i in range(k, n + 1):
-        for j in range(i + 1, n + 1):
-            counts[(j, i)] = counts.get((j, i), 0) + 1
+    counts = Counter((q, p) if c else (p, q) for p, q, c in _planes(n, k))
     return MultiDiGraph(n, tuple((u, v, m) for (u, v), m in sorted(counts.items())))
 
 
@@ -67,9 +61,9 @@ class RootedGraph:
 
     Entry j of a neighbor list addresses the vertex Mod(j, n) in [1, n];
     parallel arcs to the same vertex are told apart by j = v + m*n with
-    m = 0, 1, ...  The orders are fixed: N(0) = <n, ..., 1>; N(1) sorted by
-    target descending then m descending; N(i) for i >= 2 sorted by target
-    descending, where targets above i exist exactly when i >= k.
+    m = 0, 1, ...  N(0) = <n, ..., 1>; every other list is read off
+    `_planes` in reverse, one reversed arc per hyperplane, so each is sorted
+    by target descending, then m descending.
     """
 
     n: int
@@ -95,18 +89,25 @@ class RootedGraph:
 
 
 def build_rooted(n: int, k: int) -> RootedGraph:
-    check_nk(n, k)
-    lists: list[tuple[int, ...]] = [tuple(range(n, 0, -1))]
-    from_one: list[int] = []
-    for i in range(n, 1, -1):
-        for m in range(min(i, k) - 2, -1, -1):
-            from_one.append(i + m * n)
-    lists.append(tuple(from_one))
-    for i in range(2, n + 1):
-        highs = list(range(n, i, -1)) if i >= k else []
-        lows = list(range(i - 1, 0, -1))
-        lists.append(tuple(highs + lows))
-    return RootedGraph(n, k, tuple(lists))
+    """The rooted graph of (n, k), validated afresh on every call over memoised lists."""
+    return RootedGraph(n, k, _rooted_lists(n, k))
+
+
+@lru_cache(maxsize=128)
+def _rooted_lists(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The rooted graph's neighbor lists, one reversed arc per hyperplane.
+
+    x_p = x_q puts p in N(q) and x_p = x_q + c puts q + (c - 1)n in N(p);
+    reading `_planes` backwards sorts each list by target, then copy,
+    descending.
+    """
+    lists: list[list[int]] = [list(range(n, 0, -1))] + [[] for _ in range(n)]
+    for p, q, c in reversed(_planes(n, k)):
+        if c:
+            lists[p].append(q + (c - 1) * n)
+        else:
+            lists[q].append(p)
+    return tuple(map(tuple, lists))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ from shiish import (
     build_gkn,
     build_rooted,
     check_budget,
+    check_nk,
 )
 from shiish.arrangement import (
     ABOVE,
@@ -534,3 +535,60 @@ def word_sets_by_definition(n: int, k: int):
         if is_g_parking_bruteforce(graph, word):
             subsets.add(vals)
     return burning, definition, sigma, subsets, tail_parkers
+
+
+def planes_by_formula(n: int, k: int) -> list[tuple[int, int, int]]:
+    """The (n, k) hyperplanes as sorted (p, q, c), written out family by family.
+
+    Hyperplanes: x_i = x_j for all i < j; x_1 = x_j + c for 1 <= c < min(j, k);
+    x_i = x_j + 1 for k <= i < j.  Sorted by (p, q, c).
+    """
+    check_nk(n, k)
+    planes = set()
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            planes.add((i, j, 0))
+    for j in range(2, n + 1):
+        for c in range(1, min(j, k)):
+            planes.add((1, j, c))
+    for i in range(k, n + 1):
+        for j in range(i + 1, n + 1):
+            planes.add((i, j, 1))
+    return sorted(planes)
+
+
+def gkn_arcs_by_formula(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """The arcs (source, target, multiplicity) of G_{k,n}, written out family by family.
+
+    Arcs: (i, j) for every 1 <= i < j <= n; (j, 1) with multiplicity
+    min(j, k) - 1 for every j >= 2; (j, i) for every k <= i < j <= n.
+    """
+    check_nk(n, k)
+    counts: dict[tuple[int, int], int] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            counts[(i, j)] = counts.get((i, j), 0) + 1
+    for j in range(2, n + 1):
+        counts[(j, 1)] = counts.get((j, 1), 0) + min(j, k) - 1
+    for i in range(k, n + 1):
+        for j in range(i + 1, n + 1):
+            counts[(j, i)] = counts.get((j, i), 0) + 1
+    return tuple((u, v, m) for (u, v), m in sorted(counts.items()))
+
+
+def rooted_lists_by_formula(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Rooted neighbor lists written out: N(0) = <n, ..., 1>; N(1) by target then
+    copy descending; N(i), i >= 2, the targets above i (when i >= k) then below, descending.
+    """
+    check_nk(n, k)
+    lists: list[tuple[int, ...]] = [tuple(range(n, 0, -1))]
+    from_one: list[int] = []
+    for i in range(n, 1, -1):
+        for m in range(min(i, k) - 2, -1, -1):
+            from_one.append(i + m * n)
+    lists.append(tuple(from_one))
+    for i in range(2, n + 1):
+        highs = list(range(n, i, -1)) if i >= k else []
+        lows = list(range(i - 1, 0, -1))
+        lists.append(tuple(highs + lows))
+    return tuple(lists)

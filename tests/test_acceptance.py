@@ -196,7 +196,7 @@ def _suite_label_agreement():
             spec = build_arrangement(n, k)
             for region, label in _label_pairs(n, k):
                 assert label_direct(spec, region) == label
-                assert label_from_description(spec, describe(spec, region)) == label
+                assert label_from_description(spec, describe(region)) == label
 
 
 def _suite_burnt_prefix_centre():

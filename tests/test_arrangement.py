@@ -150,6 +150,13 @@ def test_region_requires_valid_witness():
         Region(spec, (2,) + base.signs[1:], base.point, base.scale)  # sign outside {0, 1}
     with pytest.raises(ValueError):
         Region(spec, (float(base.signs[0]),) + base.signs[1:], base.point, base.scale)
+    # the certificate compares integers only: no float or Fraction witness
+    with pytest.raises(ValueError):
+        Region(spec, base.signs, (1.0, 0.5, 0.0), 1.5)
+    with pytest.raises(ValueError):
+        Region(spec, base.signs, (Fraction(2, 3), Fraction(1, 3), 0), 1)
+    with pytest.raises(ValueError):
+        Region(spec, base.signs, base.point, 3.0)
 
 
 def test_sign_string_reads_zero_and_one_off_the_signs():
@@ -205,22 +212,22 @@ def test_base_region_description_and_label():
     for n, k in ((3, 3), (4, 2), (4, 3), (5, 4)):
         spec = build_arrangement(n, k)
         base = base_region(spec)
-        desc = describe(spec, base)
+        desc = describe(base)
         assert desc.w.images == tuple(range(1, n + 1))
         assert (1, n, 1) in desc.windows
         assert label_direct(spec, base).entries == (1,) * n
         assert label_from_description(spec, desc).entries == (1,) * n
-        assert draw_diagram(spec, desc).arcs == ((1, n, 1),)
+        assert draw_diagram(desc).arcs == ((1, n, 1),)
 
 
 def test_base_region_overflow_is_empty_for_shi():
     spec = build_arrangement(4, 2)
-    assert describe(spec, base_region(spec)).overflow == frozenset()
+    assert describe(base_region(spec)).overflow == frozenset()
 
 
 def test_base_region_overflow_pairs_carry_no_offsets():
     spec = build_arrangement(4, 4)
-    desc = describe(spec, base_region(spec))
+    desc = describe(base_region(spec))
     # pairs without offset hyperplanes sit in overflow but contribute zero
     assert desc.overflow == {(2, 3), (2, 4), (3, 4)}
 
@@ -334,7 +341,20 @@ def test_search_and_description_labellings_agree():
             spec = build_arrangement(n, k)
             for region, label in enumerate_regions(spec):
                 assert label_direct(spec, region) == label
-                assert label_from_description(spec, describe(spec, region)) == label
+                assert label_from_description(spec, describe(region)) == label
+
+
+def test_region_readers_take_the_arrangement_from_the_region():
+    # (3, 2) and (3, 3) both have 6 hyperplanes, so a reader handed the wrong
+    # spec would misread signs; the readers take it from the region instead
+    pairs = [pair for k in (2, 3) for pair in enumerate_regions(build_arrangement(3, k))]
+    assert len(pairs) == 16 + 16
+    for region, label in pairs:
+        desc = describe(region)
+        assert label_from_description(region.spec, desc) == label
+        record = region_record(region, label)
+        assert record["label"] == label.entries
+        assert record["diagram"] == draw_diagram(desc).arcs
 
 
 def test_labels_are_distinct_per_arrangement():
@@ -368,7 +388,7 @@ def test_window_labels_respect_nesting():
     for n, k in ((4, 2), (4, 3), (4, 4)):
         spec = build_arrangement(n, k)
         for region, _ in enumerate_regions(spec):
-            desc = describe(spec, region)
+            desc = describe(region)
             position = {v: p for p, v in enumerate(desc.w.images, start=1)}
             for (i, m, am) in desc.windows:
                 for (j, p, ajp) in desc.windows:
@@ -381,7 +401,7 @@ def test_witness_matches_description():
     for n, k in ((3, 2), (3, 3), (4, 3)):
         spec = build_arrangement(n, k)
         for region, _ in enumerate_regions(spec):
-            desc = describe(spec, region)
+            desc = describe(region)
             x = [Fraction(p, region.scale) for p in region.point]
             order = sorted(range(1, n + 1), key=lambda v: -x[v - 1])
             assert tuple(order) == desc.w.images
@@ -403,7 +423,7 @@ def test_witness_matches_description():
 def test_ish_region_with_window_1_4_2():
     spec = build_arrangement(4, 4)
     for region, label in enumerate_regions(spec):
-        desc = describe(spec, region)
+        desc = describe(region)
         if desc.w.images == (3, 1, 2, 4) and desc.windows == {(1, 4, 2)}:
             assert label.entries == (2, 3, 1, 2)
             break
@@ -414,7 +434,7 @@ def test_ish_region_with_window_1_4_2():
 def test_footnote_region_description():
     spec = build_arrangement(4, 3)
     for region, label in enumerate_regions(spec):
-        desc = describe(spec, region)
+        desc = describe(region)
         if desc.w.images == (3, 1, 2, 4) and desc.windows == {(1, 4, 2)}:
             assert label.entries == (2, 3, 1, 3)
             break
@@ -428,12 +448,12 @@ def test_table_region_descriptions_n4():
         spec = build_arrangement(4, k)
         found = False
         for region, label in enumerate_regions(spec):
-            desc = describe(spec, region)
+            desc = describe(region)
             if desc.w.images != (3, 1, 4, 2):
                 continue
             if desc.windows >= {(1, 2, 1), (1, 4, 1), (3, 4, 1)}:
                 assert label.entries == expected_label
-                diagram = draw_diagram(spec, desc)
+                diagram = draw_diagram(desc)
                 assert set(diagram.arcs) == {(1, 2, 1), (3, 4, 1)}
                 found = True
         assert found
@@ -442,7 +462,7 @@ def test_table_region_descriptions_n4():
 def test_ish_overflow_region_2414():
     spec = build_arrangement(4, 4)
     for region, label in enumerate_regions(spec):
-        desc = describe(spec, region)
+        desc = describe(region)
         if desc.w.images == (3, 1, 4, 2) and (1, 4) in desc.overflow:
             assert label.entries == (2, 4, 1, 4)
             break
@@ -463,8 +483,8 @@ def test_region_next_to_base_two_arc_diagram():
         pairs = _by_signs(spec)
         region, label = pairs[tuple(signs)]
         assert label.entries == (1,) * (n - 1) + (2,)
-        desc = describe(spec, region)
-        arcs = set(draw_diagram(spec, desc).arcs)
+        desc = describe(region)
+        arcs = set(draw_diagram(desc).arcs)
         assert {(1, n - 1, 1), (1, n, 2)} <= arcs
         if k == n:
             assert arcs == {(1, n - 1, 1), (1, n, 2)}
@@ -479,12 +499,12 @@ _READER_CASES = [(n, k) for n in range(2, 6) for k in range(2, n + 1)] + [(6, 3)
 def test_describe_matches_the_pair_scan_oracle(n, k):
     spec = build_arrangement(n, k)
     for region, label in enumerate_regions(spec):
-        desc = describe(spec, region)
+        desc = describe(region)
         expected = describe_by_pairs(spec, region)
         assert desc.w == expected.w, region.signs
         assert desc.windows == expected.windows, region.signs
         assert desc.overflow == expected.overflow, region.signs
-        record = region_record(spec, region, label)
+        record = region_record(region, label)
         assert record["w"] == expected.w.images
         assert record["H"] == tuple(sorted(expected.windows))
         assert record["I"] == tuple(sorted(expected.overflow))
@@ -494,16 +514,16 @@ def test_describe_matches_the_pair_scan_oracle(n, k):
 def test_draw_diagram_matches_the_scan_oracle(n, k):
     spec = build_arrangement(n, k)
     for region, label in enumerate_regions(spec):
-        desc = describe(spec, region)
-        arcs = draw_diagram(spec, desc).arcs
+        desc = describe(region)
+        arcs = draw_diagram(desc).arcs
         assert arcs == draw_diagram_by_scan(spec, desc).arcs, region.signs
-        assert region_record(spec, region, label)["diagram"] == arcs
+        assert region_record(region, label)["diagram"] == arcs
 
 
 def test_region_record_shape():
     spec = build_arrangement(3, 3)
     region, label = enumerate_regions(spec)[0]
-    record = region_record(spec, region, label)
+    record = region_record(region, label)
     assert set(record) == {"signs", "w", "H", "I", "label", "diagram"}
     assert len(record["signs"]) == 6
     assert all(ch in "01" for ch in record["signs"])

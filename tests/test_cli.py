@@ -40,7 +40,7 @@ def test_regions_json_records(capsys):
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
 def test_region_writer_matches_json_dumps(n, k):
     spec = build_arrangement(n, k)
-    records = [region_record(spec, region, label) for region, label in enumerate_regions(spec)]
+    records = [region_record(region, label) for region, label in enumerate_regions(spec)]
     expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
     assert "".join(cli._regions_json(records)) == expected
     assert "".join(cli._regions_json(iter(records))) == expected

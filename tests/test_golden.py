@@ -69,6 +69,30 @@ GOLDEN = [
         "496f49ddf3dd4adb01bfc5a2edc10010e8f3efb8f7b07c65905995ad284900fd",
     ),
     (
+        ["graph", "--n", "7", "--k", "2"],
+        "86e6b1c97f5f5003d1c65cd02db19361046c02c2e8b7e9ad44d1a2c4c137230f",
+    ),
+    (
+        ["graph", "--n", "7", "--k", "2", "--rooted"],
+        "fb2e53f0517e5192a2c89d05b2bd027751d738ab9cd6cf88040d75b0723f619b",
+    ),
+    (
+        ["graph", "--n", "7", "--k", "4"],
+        "6ea121cc9eb31d783aa7323d367ba44b516c6e52f79ddbce48b0a5818d888c3e",
+    ),
+    (
+        ["graph", "--n", "7", "--k", "4", "--rooted"],
+        "806a6ff29630c21c372dfa3a3cc42f1de5271b6e1b2810b524ff07b7ba0c287f",
+    ),
+    (
+        ["graph", "--n", "7", "--k", "7"],
+        "40786c2584951d86d88e3d432c6a19d32433476a0f425a770594cf7cbf0426e6",
+    ),
+    (
+        ["graph", "--n", "7", "--k", "7", "--rooted"],
+        "a93acf051b4766058ed22ee47ccba6b3b861788a7fb9d20c319608e59020801a",
+    ),
+    (
         ["count", "--n-max", "5"],
         "0b028f2c098b3df74c8545c11d2a66e698a1e9ebaef25537c7405f8f49e80e2a",
     ),

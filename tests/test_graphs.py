@@ -7,13 +7,17 @@ import pytest
 from oracles import (
     all_words,
     burn_by_recursion,
+    gkn_arcs_by_formula,
     is_g_parking_bruteforce,
+    planes_by_formula,
+    rooted_lists_by_formula,
     tree_to_word_by_replay,
 )
 from shiish import (
     BudgetError,
     MultiDiGraph,
     Word,
+    build_arrangement,
     build_gkn,
     build_rooted,
     centre,
@@ -114,6 +118,31 @@ def test_rooted_lists_mirror_the_unrooted_graph():
                     counted[v] = counted.get(v, 0) + 1
                 expected = {u: m for (u, v), m in mult.items() if v == i}
                 assert counted == expected, (n, k, i)
+
+
+FORMULA_CASES = [(n, k) for n in range(2, 13) for k in range(2, n + 1)]
+FORMULA_CASES += [(300, 2), (300, 3), (300, 300)]
+
+
+def test_builders_match_the_family_formulas():
+    # the arrangement, G_{k,n} and the rooted lists all read one hyperplane
+    # list; each must equal the paper's formula written out on its own
+    for n, k in FORMULA_CASES:
+        spec = build_arrangement(n, k)
+        assert [(hp.p, hp.q, hp.c) for hp in spec.hyperplanes] == planes_by_formula(n, k)
+        assert build_gkn(n, k).arcs == gkn_arcs_by_formula(n, k), (n, k)
+        assert build_rooted(n, k).neighbors == rooted_lists_by_formula(n, k), (n, k)
+
+
+def test_rooted_domain_check_survives_the_memo():
+    # the lists are memoised, but each call still builds and validates a graph
+    first, second = build_rooted(4, 4), build_rooted(4, 4)
+    assert first is not second and first.neighbors == second.neighbors
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_rooted(4, 5)
+        with pytest.raises(ValueError):
+            build_rooted(1, 2)
 
 
 def test_rooted_decode_wraps_into_vertex_range():
