@@ -3,10 +3,11 @@
 An arrangement is a list of hyperplanes x_p - x_q = c.  A region is a
 feasible total choice of side (strictly below or strictly above) for every
 hyperplane.  Feasibility of the strict system is decided exactly on a
-difference-bound matrix (DBM) over scaled integers, kept closed as one
-constraint at a time is added; an integer witness point falls out of the
-closure.  Regions are enumerated by depth-first search over sign vectors,
-the label carried down the search path; `label_from_description` labels a
+difference-bound matrix (DBM) over scaled integers; an integer witness
+point falls out of the closure.  Regions are enumerated by depth-first
+search over sign vectors, which closes the DBM once per hyperplane that
+cuts a cell in two and reads every other side off the closure, the label
+carried down the search path; `label_from_description` labels a
 region a second, independent way.  Each chamber's witness is checked in
 integers (`_certify`) exactly once: `_leaves` certifies the search's chambers
 for the `regions` export and the verify gate, `Region` those of the list.
@@ -218,6 +219,8 @@ def _tighten(dbm: list[list], u: int, v: int, w: int) -> Optional[list[list]]:
     with D[i][u] + w >= D[i][v] cannot change and is shared, as rows are
     never mutated.  With scale n + 1 a cycle of strict constraints is
     contradictory exactly when its scaled weight is negative (CLRS 24.4).
+    `_search` calls it once per cut, on an edge it has already found
+    feasible and not implied.
     """
     if dbm[v][u] + w < 0:
         return None
@@ -263,44 +266,84 @@ def _increment_index(hp: Hyperplane) -> int:
 def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     """(signs, point, label) of every chamber, sorted by sign vector, by depth-first sign search.
 
-    The search branches on the hyperplanes in index order, BELOW before
-    ABOVE.  Each node holds the closed DBM of its prefix (`_tighten`), so
-    infeasible sides are cut at once and every leaf is a chamber.  The label,
+    The search decides the hyperplanes in index order, BELOW before ABOVE.
+    A node holds a closed DBM D, its potential low_i = min_j D[j][i], and one
+    pending edge u -> v of weight w that D does not hold yet: the node's cell
+    is the closure of D plus that edge, read entry by entry as
+    min(D[a][b], D[a][u] + w + D[v][b]) (Mine, PADO 2001).  A hyperplane
+    whose side that cell already decides costs at most two such reads: with
+    scale n + 1 a bound on X_p - X_q is c'*scale - L for a path of
+    1 <= L <= n - 1 edges, never c*scale, so a side ruled out leaves the other
+    implied.  Only a hyperplane that cuts the cell closes the pending edge
+    into D (`_tighten`), updates low in O(n), pushes the ABOVE half and goes
+    on with the BELOW half, each with its own side as the new pending edge.
+    A leaf's point is the potential of its cell, min(low_i, low_u + w +
+    D[v][i]), a witness over scale n + 1 that `_leaves` or `Region`
+    certifies.  The root's cut splits the unconstrained DBM for free, so a
+    search with L >= 2 leaves runs `_tighten` L - 2 times.  The label,
     all-ones plus one increment per side off the base chamber's, is carried
-    down the path.  `point` is the potential X_i = min_j D[j][i], a witness
-    over scale n + 1 that `_leaves` or `Region` certifies.  No budget
-    check: callers refuse an oversized n first.
+    down the path.  No budget check: callers refuse an oversized n first.
     """
     n = spec.n
     scale = n + 1
     total = len(spec.hyperplanes)
-    # Per hyperplane and side: the DBM edge and the label coordinate it
-    # bumps, or None on the base chamber's side.
-    sides = [
-        tuple(
-            (*_edge(hp, side, scale), None if side == _base_side(hp) else _increment_index(hp) - 1)
-            for side in (BELOW, ABOVE)
-        )
-        for hp in spec.hyperplanes
-    ]
+    # Per hyperplane x_p - x_q = c: the BELOW edge a -> b (a = q - 1,
+    # b = p - 1) and the ABOVE edge b -> a, their weights, and the label
+    # coordinate each side bumps, or None on the base chamber's side.
+    planes = []
+    for hp in spec.hyperplanes:
+        a, b, w_below = _edge(hp, BELOW, scale)
+        bump = _increment_index(hp) - 1
+        off_base = (None, bump) if _base_side(hp) == BELOW else (bump, None)
+        planes.append((a, b, w_below, _edge(hp, ABOVE, scale)[2], *off_base))
     signs = [BELOW] * total
-    # An explicit stack of (position, side, parent DBM, parent label).
-    stack = [(0, side, _unconstrained(n), (1,) * n) for side in (ABOVE, BELOW)]
+    # An explicit stack of (position, DBM, potential, pending edge, label);
+    # every pushed node is an ABOVE half, so its sign is written on pop.  The
+    # root's pending edge is a zero self-loop, which every closed DBM implies.
+    stack = [(0, _unconstrained(n), [0] * n, 0, 0, 0, (1,) * n)]
     while stack:
-        pos, side, dbm, label = stack.pop()
-        u, v, w, bump = sides[pos][side]
-        dbm = _tighten(dbm, u, v, w)
-        if dbm is None:
-            continue
-        if bump is not None:
-            label = label[:bump] + (label[bump] + 1,) + label[bump + 1 :]
-        signs[pos] = side
-        pos += 1
-        if pos < total:
-            stack.append((pos, ABOVE, dbm, label))
-            stack.append((pos, BELOW, dbm, label))
-        else:
-            yield tuple(signs), tuple(map(min, zip(*dbm))), label
+        pos, dbm, low, u, v, w, label = stack.pop()
+        if pos:
+            signs[pos - 1] = ABOVE
+        row_v = dbm[v]
+        while pos < total:
+            a, b, w_below, w_above, bump_below, bump_above = planes[pos]
+            # The cell bounds X_p - X_q above by x and below by -y.
+            row_a = dbm[a]
+            x = row_a[u] + w + row_v[b]
+            if x > row_a[b]:
+                x = row_a[b]
+            if x + w_above < 0:  # ABOVE ruled out: BELOW implied
+                side, bump = BELOW, bump_below
+            else:
+                row_b = dbm[b]
+                y = row_b[u] + w + row_v[a]
+                if y > row_b[a]:
+                    y = row_b[a]
+                if y + w_below < 0:  # BELOW ruled out: ABOVE implied
+                    side, bump = ABOVE, bump_above
+                else:  # a cut: close the pending edge, push ABOVE, go on BELOW
+                    if u != v:  # the root's self-loop needs no closing
+                        low_u = low[u] + w
+                        low = [m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)]
+                        dbm = _tighten(dbm, u, v, w)
+                    above = label if bump_above is None else _bumped(label, bump_above)
+                    stack.append((pos + 1, dbm, low, b, a, w_above, above))
+                    u, v, w = a, b, w_below
+                    row_v = dbm[v]
+                    side, bump = BELOW, bump_below
+            signs[pos] = side
+            if bump is not None:
+                label = _bumped(label, bump)
+            pos += 1
+        low_u = low[u] + w
+        point = tuple([m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)])
+        yield tuple(signs), point, label
+
+
+def _bumped(label: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """`label` with coordinate i (zero-based) raised by one."""
+    return label[:i] + (label[i] + 1,) + label[i + 1 :]
 
 
 def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -375,15 +418,18 @@ def _kept_arcs(order: tuple[int, ...], windows) -> tuple[tuple[int, int, int], .
     and m at or after p.  Equal-valued nested windows carry no extra
     information, since the outer difference bounds the inner one.
     """
+    if len(windows) < 2:
+        return tuple(windows)
     position = {v: pos for pos, v in enumerate(order)}
-    return tuple(
-        (j, p, a)
-        for j, p, a in windows
-        if not any(
-            am == a and (i, m) != (j, p) and position[i] <= position[j] and position[p] <= position[m]
-            for i, m, am in windows
-        )
-    )
+    spans = [(position[i], position[m], a) for i, m, a in windows]
+    kept = []
+    for window, (pj, pp, a) in zip(windows, spans):
+        for pi, pm, am in spans:
+            if am == a and pi <= pj and pp <= pm and (pi, pm) != (pj, pp):
+                break
+        else:
+            kept.append(window)
+    return tuple(kept)
 
 
 def draw_diagram(desc: RegionDescription) -> Diagram:

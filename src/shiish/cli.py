@@ -94,7 +94,9 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
     w = Formatted("      ")
 
     def rows(values) -> str:
-        return ints([row[t] for t in values])
+        if not values:
+            return "[]"
+        return "[\n      " + ",\n      ".join(map(row.__getitem__, values)) + "\n    ]"
 
     lead = "[\n  "
     for r in records:

@@ -31,6 +31,7 @@ from shiish.arrangement import (
     Diagram,
     Region,
     RegionDescription,
+    _base_side,
     _edge,
     _increment_index,
     _tighten,
@@ -277,6 +278,45 @@ def closure_by_floyd_warshall(
     if any(dbm[i][i] < 0 for i in nodes):
         return None
     return dbm
+
+
+def search_by_sides(spec) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """(signs, point, label) of every chamber, sorted by sign vector, one closure per side.
+
+    The depth-first sign search with one `_tighten` per side tried: the
+    BELOW-then-ABOVE branching, the label carried down the path, and the
+    column minima of each closed leaf DBM as its point over scale n + 1.
+    """
+    n = spec.n
+    scale = n + 1
+    total = len(spec.hyperplanes)
+    # Per hyperplane and side: the DBM edge and the label coordinate it
+    # bumps, or None on the base chamber's side.
+    sides = [
+        tuple(
+            (*_edge(hp, side, scale), None if side == _base_side(hp) else _increment_index(hp) - 1)
+            for side in (BELOW, ABOVE)
+        )
+        for hp in spec.hyperplanes
+    ]
+    signs = [BELOW] * total
+    # An explicit stack of (position, side, parent DBM, parent label).
+    stack = [(0, side, _unconstrained(n), (1,) * n) for side in (ABOVE, BELOW)]
+    while stack:
+        pos, side, dbm, label = stack.pop()
+        u, v, w, bump = sides[pos][side]
+        dbm = _tighten(dbm, u, v, w)
+        if dbm is None:
+            continue
+        if bump is not None:
+            label = label[:bump] + (label[bump] + 1,) + label[bump + 1 :]
+        signs[pos] = side
+        pos += 1
+        if pos < total:
+            stack.append((pos, ABOVE, dbm, label))
+            stack.append((pos, BELOW, dbm, label))
+        else:
+            yield tuple(signs), tuple(map(min, zip(*dbm))), label
 
 
 def enumerate_regions_by_walls(spec) -> list[tuple[Region, Label]]:

@@ -13,6 +13,7 @@ from oracles import (
     feasible_by_bellman_ford,
     feasible_by_tightening,
     label_direct,
+    search_by_sides,
 )
 
 from shiish import (
@@ -29,7 +30,8 @@ from shiish import (
     label_from_description,
     region_record,
 )
-from shiish.arrangement import ABOVE, BELOW, Region
+from shiish import arrangement
+from shiish.arrangement import ABOVE, BELOW, Region, _leaves, _search
 
 
 def _by_signs(spec):
@@ -42,6 +44,9 @@ def _label_strings(spec):
 
 def _positions(spec):
     return {(hp.p, hp.q, hp.c): pos for pos, hp in enumerate(spec.hyperplanes)}
+
+
+_READER_CASES = [(n, k) for n in range(2, 6) for k in range(2, n + 1)] + [(6, 3), (6, 6)]
 
 
 # ------------------------------------------------------------- construction
@@ -311,6 +316,37 @@ def test_walls_match_bellman_ford_flips(n, k):
             assert feasible_by_bellman_ford(spec, enumerate(flipped)) == (flipped in found)
 
 
+def test_arrangement_without_hyperplanes_has_one_region():
+    spec = ArrangementSpec(3, 2, ())
+    assert list(_leaves(spec)) == [((), (0, 0, 0), (1, 1, 1))]
+    ((region, label),) = enumerate_regions(spec)
+    assert (region.signs, region.point, region.scale) == ((), (0, 0, 0), 4)
+    assert label.entries == (1, 1, 1)
+
+
+# the reader cases, and one list outside the family: (4, 3) without x1 = x3 + 1,
+# which leaves x1 - x3 the window (0, 2)
+_GAPPED = tuple(hp for hp in build_arrangement(4, 3).hyperplanes if hp != Hyperplane(1, 3, 1))
+_SEARCH_CASES = [build_arrangement(*nk) for nk in _READER_CASES] + [ArrangementSpec(4, 3, _GAPPED)]
+
+
+@pytest.mark.parametrize("spec", _SEARCH_CASES, ids=lambda s: f"{s.n}-{s.k}-{len(s.hyperplanes)}")
+def test_search_matches_the_per_side_oracle(spec):
+    # (signs, point, label) of every leaf, in the same order
+    assert list(_search(spec)) == list(search_by_sides(spec))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
+def test_search_closes_each_cut_once(monkeypatch, n, k):
+    # the first cut splits the unconstrained DBM for free, every later one
+    # closes one pending edge, and a side already decided closes nothing
+    tighten = arrangement._tighten
+    calls = []
+    monkeypatch.setattr(arrangement, "_tighten", lambda *args: calls.append(1) or tighten(*args))
+    leaves = sum(1 for _ in _search(build_arrangement(n, k)))
+    assert len(calls) == leaves - 2
+
+
 def test_enumeration_leaves_no_reference_cycles():
     # a self-referencing search closure would keep its results alive until
     # a full collection; the explicit stack leaves nothing to collect
@@ -491,9 +527,6 @@ def test_region_next_to_base_two_arc_diagram():
 
 
 # ---------------------------------------------------------------- exports
-
-_READER_CASES = [(n, k) for n in range(2, 6) for k in range(2, n + 1)] + [(6, 3), (6, 6)]
-
 
 @pytest.mark.parametrize("n, k", _READER_CASES)
 def test_describe_matches_the_pair_scan_oracle(n, k):

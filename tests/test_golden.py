@@ -41,8 +41,20 @@ GOLDEN = [
         "8fa9a63f9201e97064faffd9e4fa38b1b86d05ebcb5ba7e46240ff288dfa4319",
     ),
     (
+        ["regions", "--n", "6", "--k", "6"],
+        "89b2b288cc88d95df6cd5a980d84d27f7f2e5ce770af16a22f30c93a55eecc73",
+    ),
+    (
+        ["regions", "--n", "6", "--k", "2"],
+        "d4ece4b1df97bf16fdd052ec3b63170eb985a4a9a5c35792933fbe6193523c83",
+    ),
+    (
         ["regions", "--n", "4", "--k", "2", "--format", "csv"],
         "ae17032073ba50a6aa38695895ee0a63aafac31d9a71e310d1255691bb5a2f67",
+    ),
+    (
+        ["regions", "--n", "6", "--k", "4", "--format", "csv"],
+        "eec3638bb0612de7159e619270d36ff4c53089bc5f9c41b8d26be0095e914e96",
     ),
     (
         ["regions", "--n", "3", "--k", "3", "--format", "text"],
@@ -51,6 +63,10 @@ GOLDEN = [
     (
         ["regions", "--n", "5", "--k", "3", "--format", "text"],
         "b2c33a77dccfcc05c4ceacb9161e4c487c3adf2cb2a82bb8c7fbfc4cc7476551",
+    ),
+    (
+        ["regions", "--n", "6", "--k", "5", "--format", "text"],
+        "29d4535e8994f359c0c7b8ef1b8a8c3c557160eb8c311ddef067ad92596342d2",
     ),
     (
         ["check", "4213", "--k", "all", "--trace"],
