@@ -4,20 +4,24 @@ An arrangement is a list of hyperplanes x_p - x_q = c.  A region is a
 feasible total choice of side (strictly below or strictly above) for every
 hyperplane.  Feasibility of the strict system is decided exactly on a
 difference-bound matrix (DBM) over scaled integers; an integer witness
-point falls out of the closure.  Regions are enumerated by depth-first
-search over sign vectors, which closes the DBM once per hyperplane that
-cuts a cell in two and reads every other side off the closure, the label
-carried down the search path; `label_from_description` labels a
+point falls out of the closure.  Each `ArrangementSpec` states once, in its
+side table, what each side of each hyperplane means to the search: its
+DBM edge at scale n + 1 and the label coordinate it raises, none on the
+base chamber's side.  Regions are enumerated by depth-first search over
+sign vectors, which reads that table, closes the DBM once per hyperplane
+that cuts a cell in two and reads every other side off the closure, the
+label carried down the search path; `label_from_description` labels a
 region a second, independent way.  Each chamber's witness is checked in
-integers (`_certify`) exactly once: `_leaves` certifies the search's chambers
-for the `regions` export and the verify gate, `Region` those of the list.
+integers (`_certify`, which reads the hyperplanes, not the edges) exactly
+once: `_leaves` certifies the search's chambers for the `regions` export
+and the verify gate, `Region` those of the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import Label, Permutation, check_budget, check_nk
 
@@ -87,6 +91,21 @@ class ArrangementSpec:
         object.__setattr__(
             self, "_zero_based", tuple((hp.p - 1, hp.q - 1, hp.c) for hp in self.hyperplanes)
         )
+        # The search's side table.  On X = scale*x, x_p - x_q < c is the edge
+        # q - 1 -> p - 1 of weight c*scale - 1 (an edge u -> v of weight w
+        # reads X_v - X_u <= w), and x_p - x_q > c the edge back of weight
+        # -c*scale - 1.  Per hyperplane: that BELOW edge, the ABOVE weight, and
+        # the zero-based label coordinate each side raises, None on the base
+        # chamber's side.  Off the base chamber, BELOW an equality raises p
+        # and ABOVE an offset raises q.
+        scale = self.n + 1
+        sides = tuple(
+            (hp.q - 1, hp.p - 1, hp.c * scale - 1, -hp.c * scale - 1)
+            + ((None, hp.q - 1) if hp.c else (hp.p - 1, None))
+            for hp in self.hyperplanes
+        )
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_sides", sides)
 
     def max_offset(self, i: int, j: int) -> int:
         """Largest positive offset c with x_i - x_j = c in the arrangement, else 0."""
@@ -197,35 +216,18 @@ class Diagram:
     arcs: tuple[tuple[int, int, int], ...]
 
 
-def _edge(hp: Hyperplane, side: int, scale: int) -> tuple[int, int, int]:
-    """The strict side of `hp` as a scaled DBM edge (u, v, w).
-
-    x_p - x_q < c becomes X_p - X_q <= c*scale - 1 on X = scale*x, an edge
-    q -> p; x_p - x_q > c becomes X_q - X_p <= -c*scale - 1, an edge p -> q.
-    An edge u -> v of weight w always reads X_v - X_u <= w.
-    """
-    if side == BELOW:
-        return hp.q - 1, hp.p - 1, hp.c * scale - 1
-    return hp.p - 1, hp.q - 1, -hp.c * scale - 1
-
-
-def _tighten(dbm: list[list], u: int, v: int, w: int) -> Optional[list[list]]:
-    """The closed DBM `dbm` with the edge u -> v of weight w added, or None if infeasible.
+def _tighten(dbm: list[list], u: int, v: int, w: int) -> list[list]:
+    """The closed DBM `dbm` with the edge u -> v of weight w added.
 
     Closed: D[i][j] is the tightest implied bound on X_j - X_i.  The edge
-    closes a negative cycle iff D[v][u] + w < 0, and is implied iff
-    D[u][v] <= w (then `dbm` itself comes back).  Otherwise
-    D'[i][j] = min(D[i][j], D[i][u] + w + D[v][j]) (Mine, PADO 2001); a row
-    with D[i][u] + w >= D[i][v] cannot change and is shared, as rows are
-    never mutated.  With scale n + 1 a cycle of strict constraints is
-    contradictory exactly when its scaled weight is negative (CLRS 24.4).
-    `_search` calls it once per cut, on an edge it has already found
-    feasible and not implied.
+    must be feasible, D[v][u] + w >= 0, since a negative cycle is not
+    detected here.  Then D'[i][j] = min(D[i][j], D[i][u] + w + D[v][j])
+    (Mine, PADO 2001); a row with D[i][u] + w >= D[i][v] cannot change and
+    is shared, as rows are never mutated.  With scale n + 1 a cycle of
+    strict constraints is contradictory exactly when its scaled weight is
+    negative (CLRS 24.4).  `_search` calls it once per cut, on an edge it
+    has already found feasible and not implied.
     """
-    if dbm[v][u] + w < 0:
-        return None
-    if dbm[u][v] <= w:
-        return dbm
     row_v = dbm[v]
     out = []
     for row in dbm:
@@ -244,23 +246,14 @@ def _unconstrained(n: int) -> list[list]:
 def base_region(spec: ArrangementSpec) -> Region:
     """The chamber of the equally spaced point x_i = (n - i)/n.
 
-    All coordinates descend with gaps below one, so the region lies above
-    every equality hyperplane and below every offset hyperplane.
+    Its sign on each hyperplane is the side that raises no label entry in
+    the side table.  All coordinates descend with gaps below one, so the
+    region lies above every equality hyperplane and below every offset
+    hyperplane, which the Region constructor checks against that point.
     """
     n = spec.n
-    signs = tuple(map(_base_side, spec.hyperplanes))
+    signs = tuple(BELOW if bump_below is None else ABOVE for *_, bump_below, _ in spec._sides)
     return Region(spec, signs, tuple(range(n - 1, -1, -1)), n)
-
-
-def _base_side(hp: Hyperplane) -> int:
-    """The base chamber's side of `hp`: above an equality, below an offset."""
-    return ABOVE if hp.c == 0 else BELOW
-
-
-def _increment_index(hp: Hyperplane) -> int:
-    # Crossing an equality hyperplane away from the base bumps coordinate p;
-    # crossing any offset hyperplane bumps coordinate q.
-    return hp.p if hp.c == 0 else hp.q
 
 
 def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -282,20 +275,12 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     certifies.  The root's cut splits the unconstrained DBM for free, so a
     search with L >= 2 leaves runs `_tighten` L - 2 times.  The label,
     all-ones plus one increment per side off the base chamber's, is carried
-    down the path.  No budget check: callers refuse an oversized n first.
+    down the path.  Edges and increments are read off the spec's side
+    table.  No budget check: callers refuse an oversized n first.
     """
     n = spec.n
-    scale = n + 1
-    total = len(spec.hyperplanes)
-    # Per hyperplane x_p - x_q = c: the BELOW edge a -> b (a = q - 1,
-    # b = p - 1) and the ABOVE edge b -> a, their weights, and the label
-    # coordinate each side bumps, or None on the base chamber's side.
-    planes = []
-    for hp in spec.hyperplanes:
-        a, b, w_below = _edge(hp, BELOW, scale)
-        bump = _increment_index(hp) - 1
-        off_base = (None, bump) if _base_side(hp) == BELOW else (bump, None)
-        planes.append((a, b, w_below, _edge(hp, ABOVE, scale)[2], *off_base))
+    planes = spec._sides
+    total = len(planes)
     signs = [BELOW] * total
     # An explicit stack of (position, DBM, potential, pending edge, label);
     # every pushed node is an ABOVE half, so its sign is written on pop.  The
@@ -349,7 +334,7 @@ def _bumped(label: tuple[int, ...], i: int) -> tuple[int, ...]:
 def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     """`_search`'s (signs, point, label) per chamber, each one certified before it is yielded."""
     for leaf in _search(spec):
-        _certify(spec, leaf[0], leaf[1], spec.n + 1)
+        _certify(spec, leaf[0], leaf[1], spec._scale)
         yield leaf
 
 
@@ -360,9 +345,9 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
     chamber.  Refused above the size budget.
     """
     check_budget(spec.n, "region enumeration")
-    scale = spec.n + 1
     return [
-        (Region(spec, signs, point, scale), Label(label)) for signs, point, label in _search(spec)
+        (Region(spec, signs, point, spec._scale), Label(label))
+        for signs, point, label in _search(spec)
     ]
 
 

@@ -6,9 +6,9 @@ files; nothing time- or host-dependent goes into an output.
 
 `regions`, `verify` and `count` sweep exponential spaces and refuse, before
 doing any work, an n above the size budget: the environment variable
-SHIISH_MAX_N, default 6.  `check` and `burn` are polynomial and have no
-budget.  `graph` is polynomial too, but its DOT text grows as n^2, so it
-refuses an n above a fixed cap of 300, whatever the budget.
+SHIISH_MAX_N, default 6.  `check`, `burn` and `graph` are polynomial, but
+their work and output still grow as n^2 to n^3, so they refuse an n above a
+fixed cap of 300, whatever the budget.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY_FAILED = 3
 
-#: The largest n that `graph` exports; its DOT text has about n^2 arcs.
-GRAPH_MAX_N = 300
+#: The largest n that the polynomial commands `check`, `burn` and `graph` take.
+POLY_MAX_N = 300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,6 +109,12 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
     yield "[]\n" if lead == "[\n  " else "\n]\n"
 
 
+def _check_cap(n: int, what: str) -> None:
+    """Refuse an n above `POLY_MAX_N`, whatever the size budget."""
+    if n > POLY_MAX_N:
+        raise BudgetError(f"{what} for n={_excerpt(n)} exceeds the fixed cap {POLY_MAX_N}")
+
+
 def _parse_ks(raw: str, n: int) -> list[int]:
     if raw == "all":
         check_nk(n, 2)
@@ -139,6 +145,7 @@ def cmd_regions(args) -> int:
 def cmd_check(args) -> int:
     word = Word.parse(args.word)
     ks = _parse_ks(args.k, word.n)
+    _check_cap(word.n, "word classification")
     report = classification_report(word, ks)
     if args.trace:
         report["burn"] = {
@@ -151,6 +158,7 @@ def cmd_check(args) -> int:
 def cmd_burn(args) -> int:
     word = Word.parse(args.word)
     ks = _parse_ks(args.k, word.n)
+    _check_cap(word.n, "burn")
     payload = {str(k): dfs_burn(build_rooted(word.n, k), word).to_json() for k in ks}
     _emit(_dump_json(payload), args.out)
     return EXIT_OK
@@ -158,9 +166,7 @@ def cmd_burn(args) -> int:
 
 def cmd_graph(args) -> int:
     check_nk(args.n, args.k)
-    if args.n > GRAPH_MAX_N:
-        n = _excerpt(args.n)
-        raise BudgetError(f"graph export for n={n} exceeds the fixed cap {GRAPH_MAX_N}")
+    _check_cap(args.n, "graph export")
     if args.rooted:
         text = rooted_to_dot(build_rooted(args.n, args.k))
     else:
@@ -214,21 +220,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_regions.set_defaults(func=cmd_regions)
 
     p_check = sub.add_parser("check", help="classify one word")
-    p_check.add_argument("word")
+    p_check.add_argument("word", help=f"at most {POLY_MAX_N} entries; above it exit 2")
     p_check.add_argument("--k", default="all", help="a single k or 'all'")
     p_check.add_argument("--trace", action="store_true", help="include burn traces")
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_burn = sub.add_parser("burn", help="run the burning algorithm on one word")
-    p_burn.add_argument("word")
+    p_burn.add_argument("word", help=f"at most {POLY_MAX_N} entries; above it exit 2")
     p_burn.add_argument("--k", default="all", help="a single k or 'all'")
     p_burn.add_argument("--out", default=None)
     p_burn.set_defaults(func=cmd_burn)
 
     p_graph = sub.add_parser("graph", help="DOT export of the (rooted) multigraph")
     p_graph.add_argument(
-        "--n", type=_option_int, required=True, help=f"at most {GRAPH_MAX_N}; above it exit 2"
+        "--n", type=_option_int, required=True, help=f"at most {POLY_MAX_N}; above it exit 2"
     )
     p_graph.add_argument("--k", type=_option_int, required=True)
     p_graph.add_argument("--rooted", action="store_true")

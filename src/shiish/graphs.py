@@ -93,7 +93,7 @@ def build_rooted(n: int, k: int) -> RootedGraph:
     return RootedGraph(n, k, _rooted_lists(n, k))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=64)
 def _rooted_lists(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The rooted graph's neighbor lists, one reversed arc per hyperplane.
 

@@ -260,42 +260,44 @@ def _tables(labels: _RegionLabels) -> dict:
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
+def _cells(n_max: int) -> list[tuple[int, int]]:
+    """Every (n, k) with 2 <= k <= n <= n_max, in report order."""
+    return [(n, k) for n in range(2, n_max + 1) for k in range(2, n + 1)]
+
+
 def count_sweep(n_max: int) -> dict:
     """Region counts and tail-parker counts for 2 <= n <= n_max, every k.
 
-    Region counts are enumerated and matched against (n + 1)**(n - 1);
-    tail-parker counts come from a single brute-force pass over [n]^n and
-    are matched against the closed form.  Refused when n_max is below 2 or
-    above the size budget.
+    Region counts are the certified leaves of each arrangement (`_leaves`),
+    matched against (n + 1)**(n - 1); tail-parker counts come from a single
+    brute-force pass over [n]^n and are matched against the closed form.
+    Refused when n_max is below 2 or above the size budget.
     """
     _check_n_max(n_max, "count sweep")
-    tails = {
-        (n, k): sum(_parks_tail(vals, k) for vals in _words(n))
-        for n in range(2, n_max + 1)
-        for k in range(2, n + 1)
-    }
-    return _counts(n_max, _region_labels, tails)
+    rows = {}
+    for n, k in _cells(n_max):
+        leaves = sum(1 for _ in _leaves(build_arrangement(n, k)))
+        rows[n, k] = leaves, sum(_parks_tail(vals, k) for vals in _words(n))
+    return _counts(rows)
 
 
-def _counts(n_max: int, labels: _RegionLabels, tails: dict[tuple[int, int], int]) -> dict:
-    """`count_sweep` with region counts from `labels` and tail-parker counts from `tails`."""
+def _counts(rows: dict[tuple[int, int], tuple[int, int]]) -> dict:
+    """The `count_sweep` table from (leaves, tail parkers) per (n, k) cell."""
     cells = []
-    for n in range(2, n_max + 1):
-        for k in range(2, n + 1):
-            region_count = labels(n, k)[0]
-            formula = count_tail_parkers(n, k)
-            cells.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "regions": region_count,
-                    "regions_expected": (n + 1) ** (n - 1),
-                    "regions_match": region_count == (n + 1) ** (n - 1),
-                    "tail_parkers_formula": formula,
-                    "tail_parkers_brute": tails[n, k],
-                    "tail_parkers_match": formula == tails[n, k],
-                }
-            )
+    for (n, k), (region_count, tails) in rows.items():
+        formula = count_tail_parkers(n, k)
+        cells.append(
+            {
+                "n": n,
+                "k": k,
+                "regions": region_count,
+                "regions_expected": (n + 1) ** (n - 1),
+                "regions_match": region_count == (n + 1) ** (n - 1),
+                "tail_parkers_formula": formula,
+                "tail_parkers_brute": tails,
+                "tail_parkers_match": formula == tails,
+            }
+        )
     passed = all(c["regions_match"] and c["tail_parkers_match"] for c in cells)
     return {"cells": cells, "pass": passed}
 
@@ -325,9 +327,8 @@ def verify_gate(n_max: int) -> dict:
     _check_gate(n_max)
     labels = functools.cache(_region_labels)
     tables = _tables(labels)
-    every = [(n, k) for n in range(2, n_max + 1) for k in range(2, n + 1)]
-    per_cell = {(n, k): _cell(n, k, labels(n, k)) for n, k in every}
+    per_cell = {(n, k): _cell(n, k, labels(n, k)) for n, k in _cells(n_max)}
     cells = [report.to_json() for report, _ in per_cell.values()]
-    counts = _counts(n_max, labels, {nk: tails for nk, (_, tails) in per_cell.items()})
+    counts = _counts({nk: (labels(*nk)[0], tails) for nk, (_, tails) in per_cell.items()})
     passed = all(c["pass"] for c in cells) and tables["pass"] and counts["pass"]
     return {"cells": cells, "tables": tables, "counts": counts, "pass": passed}

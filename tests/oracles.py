@@ -19,7 +19,6 @@ from shiish import (
     MultiDiGraph,
     Permutation,
     Word,
-    base_region,
     build_gkn,
     build_rooted,
     check_budget,
@@ -31,9 +30,6 @@ from shiish.arrangement import (
     Diagram,
     Region,
     RegionDescription,
-    _base_side,
-    _edge,
-    _increment_index,
     _tighten,
     _unconstrained,
 )
@@ -203,19 +199,61 @@ def is_g_parking_bruteforce(g: MultiDiGraph, a: Word) -> bool:
     return True
 
 
+def edge_of(hp, side: int, scale: int) -> tuple[int, int, int]:
+    """The strict side of `hp` as a scaled DBM edge (u, v, w) on X = scale*x.
+
+    x_p - x_q < c becomes X_p - X_q <= c*scale - 1, an edge q -> p;
+    x_p - x_q > c becomes X_q - X_p <= -c*scale - 1, an edge p -> q.  An
+    edge u -> v of weight w reads X_v - X_u <= w.
+    """
+    if side == BELOW:
+        return hp.q - 1, hp.p - 1, hp.c * scale - 1
+    return hp.p - 1, hp.q - 1, -hp.c * scale - 1
+
+
+def base_side_of(hp, n: int) -> int:
+    """The side of `hp` at the base point x_i = (n - i)/n: x_p - x_q = (q - p)/n against c."""
+    return ABOVE if hp.q - hp.p > hp.c * n else BELOW
+
+
+def increment_of(hp) -> int:
+    """The label coordinate that crossing `hp` away from the base chamber raises.
+
+    The Pak-Stanley rule: p for an equality x_p = x_q, q for an offset
+    x_p = x_q + c.
+    """
+    return hp.p if hp.c == 0 else hp.q
+
+
+def sides_by_definition(spec) -> list[tuple[tuple, tuple]]:
+    """Per hyperplane, per side (BELOW, ABOVE): its edge (u, v, w) at scale n + 1
+    and the zero-based label coordinate it raises, or None on the base side."""
+    n = spec.n
+
+    def raised(hp, side):
+        return None if side == base_side_of(hp, n) else increment_of(hp) - 1
+
+    return [
+        tuple((*edge_of(hp, side, n + 1), raised(hp, side)) for side in (BELOW, ABOVE))
+        for hp in spec.hyperplanes
+    ]
+
+
 def feasible_by_tightening(spec, assigned) -> bool:
     """Is the strict system of (hyperplane index, side) pairs feasible?
 
-    The closure `enumerate_regions` keeps along a search path: `_tighten`
-    folded over the pairs' `_edge`s, in the order given, from the
-    unconstrained DBM.
+    The closure `enumerate_regions` keeps along a search path: the pairs'
+    edges (`edge_of`) folded through `_tighten`, in the order given, from
+    the unconstrained DBM, each first tested for the negative cycle
+    D[v][u] + w < 0 that `_tighten` does not look for.
     """
     scale = spec.n + 1
     dbm = _unconstrained(spec.n)
     for pos, side in assigned:
-        dbm = _tighten(dbm, *_edge(spec.hyperplanes[pos], side, scale))
-        if dbm is None:
+        u, v, w = edge_of(spec.hyperplanes[pos], side, scale)
+        if dbm[v][u] + w < 0:
             return False
+        dbm = _tighten(dbm, u, v, w)
     return True
 
 
@@ -252,7 +290,7 @@ def feasible_by_bellman_ford(spec, assigned) -> bool:
 def closure_by_floyd_warshall(
     n: int, edges: Iterable[tuple[int, int, int]]
 ) -> Optional[list[list]]:
-    """Closed DBM of the `_edge`s (scale n + 1) of a sign assignment, or None if infeasible.
+    """Closed DBM of the edges (`edge_of`, scale n + 1) of a sign assignment, or None if infeasible.
 
     Only the tightest bound per ordered pair is kept, so a simple cycle has
     at most n edges; with scale = n + 1 a cycle of strict constraints is
@@ -283,31 +321,24 @@ def closure_by_floyd_warshall(
 def search_by_sides(spec) -> Iterator[tuple[tuple[int, ...], ...]]:
     """(signs, point, label) of every chamber, sorted by sign vector, one closure per side.
 
-    The depth-first sign search with one `_tighten` per side tried: the
-    BELOW-then-ABOVE branching, the label carried down the path, and the
-    column minima of each closed leaf DBM as its point over scale n + 1.
+    The depth-first sign search with one feasibility test and one
+    `_tighten` per side tried: the BELOW-then-ABOVE branching, the label
+    carried down the path, and the column minima of each closed leaf DBM as
+    its point over scale n + 1.  Edges and increments come from
+    `sides_by_definition`, not from the spec's side table.
     """
     n = spec.n
-    scale = n + 1
     total = len(spec.hyperplanes)
-    # Per hyperplane and side: the DBM edge and the label coordinate it
-    # bumps, or None on the base chamber's side.
-    sides = [
-        tuple(
-            (*_edge(hp, side, scale), None if side == _base_side(hp) else _increment_index(hp) - 1)
-            for side in (BELOW, ABOVE)
-        )
-        for hp in spec.hyperplanes
-    ]
+    sides = sides_by_definition(spec)
     signs = [BELOW] * total
     # An explicit stack of (position, side, parent DBM, parent label).
     stack = [(0, side, _unconstrained(n), (1,) * n) for side in (ABOVE, BELOW)]
     while stack:
         pos, side, dbm, label = stack.pop()
         u, v, w, bump = sides[pos][side]
-        dbm = _tighten(dbm, u, v, w)
-        if dbm is None:
+        if dbm[v][u] + w < 0:
             continue
+        dbm = _tighten(dbm, u, v, w)
         if bump is not None:
             label = label[:bump] + (label[bump] + 1,) + label[bump + 1 :]
         signs[pos] = side
@@ -336,9 +367,9 @@ def enumerate_regions_by_walls(spec) -> list[tuple[Region, Label]]:
     check_budget(spec.n, "region enumeration")
     n = spec.n
     scale = n + 1
-    base_signs = base_region(spec).signs
     hyperplanes = spec.hyperplanes
-    edges = [(_edge(hp, BELOW, scale), _edge(hp, ABOVE, scale)) for hp in hyperplanes]
+    base_signs = tuple(base_side_of(hp, n) for hp in hyperplanes)
+    edges = [(edge_of(hp, BELOW, scale), edge_of(hp, ABOVE, scale)) for hp in hyperplanes]
     by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for pos, hp in enumerate(hyperplanes):
         by_pair.setdefault((hp.p, hp.q), []).append((hp.c, pos))
@@ -358,7 +389,7 @@ def enumerate_regions_by_walls(spec) -> list[tuple[Region, Label]]:
             + [(wall(planes[-1], ABOVE),)]
         )
         pairs.append((planes, bounds))
-    increment = [_increment_index(hp) - 1 for hp in hyperplanes]
+    increment = [increment_of(hp) - 1 for hp in hyperplanes]
 
     labels: dict[tuple[int, ...], tuple[int, ...]] = {base_signs: (1,) * n}
     regions: dict[tuple[int, ...], Region] = {}
@@ -389,11 +420,10 @@ def enumerate_regions_by_walls(spec) -> list[tuple[Region, Label]]:
 
 def label_direct(spec, region: Region) -> Label:
     """Label from scratch: all-ones plus one increment per separating hyperplane."""
-    base_signs = base_region(spec).signs
     entries = [1] * spec.n
-    for s, b, hp in zip(region.signs, base_signs, spec.hyperplanes):
-        if s != b:
-            entries[_increment_index(hp) - 1] += 1
+    for s, hp in zip(region.signs, spec.hyperplanes):
+        if s != base_side_of(hp, spec.n):
+            entries[increment_of(hp) - 1] += 1
     return Label(tuple(entries))
 
 

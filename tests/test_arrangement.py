@@ -14,6 +14,7 @@ from oracles import (
     feasible_by_tightening,
     label_direct,
     search_by_sides,
+    sides_by_definition,
 )
 
 from shiish import (
@@ -345,6 +346,38 @@ def test_search_closes_each_cut_once(monkeypatch, n, k):
     monkeypatch.setattr(arrangement, "_tighten", lambda *args: calls.append(1) or tighten(*args))
     leaves = sum(1 for _ in _search(build_arrangement(n, k)))
     assert len(calls) == leaves - 2
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
+def test_search_closes_only_feasible_unimplied_edges(monkeypatch, n, k):
+    # the precondition that lets `_tighten` skip the negative-cycle and
+    # implied-edge tests: every edge it closes is feasible and tightens
+    tighten = arrangement._tighten
+    calls = []
+
+    def checked(dbm, u, v, w):
+        calls.append((dbm[v][u] + w >= 0, dbm[u][v] > w))
+        return tighten(dbm, u, v, w)
+
+    monkeypatch.setattr(arrangement, "_tighten", checked)
+    leaves = sum(1 for _ in _search(build_arrangement(n, k)))
+    assert calls == [(True, True)] * (leaves - 2)
+
+
+_TABLE_CASES = [build_arrangement(n, k) for n in range(2, 9) for k in range(2, n + 1)] + [
+    ArrangementSpec(3, 2, ()),
+    ArrangementSpec(4, 3, _GAPPED),
+]
+
+
+def test_side_table_states_the_edge_and_increment_rules():
+    # the spec's one table against `edge_of`, `base_side_of` and `increment_of`
+    for spec in _TABLE_CASES:
+        assert len(spec._sides) == len(spec.hyperplanes)
+        for row, (below, above) in zip(spec._sides, sides_by_definition(spec)):
+            u, v, w_below, bump_below = below
+            assert above[:2] == (v, u)  # the ABOVE edge runs back
+            assert row == (u, v, w_below, above[2], bump_below, above[3]), (spec.n, spec.k)
 
 
 def test_enumeration_leaves_no_reference_cycles():

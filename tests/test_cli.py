@@ -341,20 +341,39 @@ def test_graph_refuses_an_n_above_its_cap_before_building(capsys, monkeypatch, t
     monkeypatch.setattr(cli, "build_gkn", must_not_run)
     monkeypatch.setattr(cli, "build_rooted", must_not_run)
     target = tmp_path / "g.dot"
-    for n in (str(cli.GRAPH_MAX_N + 1), "100000"):
+    for n in (str(cli.POLY_MAX_N + 1), "100000"):
         code, out, err = run(capsys, "graph", "--n", n, "--k", "3", *rooted, "--out", str(target))
         assert (code, out) == (2, "")
-        assert err.startswith("refused: ") and f"cap {cli.GRAPH_MAX_N}" in err
+        assert err.startswith("refused: ") and f"cap {cli.POLY_MAX_N}" in err
         assert not target.exists()
     monkeypatch.undo()
-    code, out, _ = run(capsys, "graph", "--n", str(cli.GRAPH_MAX_N), "--k", "3", *rooted)
+    code, out, _ = run(capsys, "graph", "--n", str(cli.POLY_MAX_N), "--k", "3", *rooted)
     assert code == 0 and out.startswith("digraph")
+
+
+def test_check_and_burn_refuse_a_word_above_the_cap_before_any_work(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setenv("SHIISH_MAX_N", "1000")  # the cap does not follow the budget
+    monkeypatch.setattr(cli, "classification_report", must_not_run)
+    monkeypatch.setattr(cli, "build_rooted", must_not_run)
+    word = ",".join(["1"] * (cli.POLY_MAX_N + 1))
+    for argv in (("check", word), ("check", word, "--trace"), ("burn", word, "--k", "all")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("refused: ") and f"cap {cli.POLY_MAX_N}" in err
+        assert short_error(err)
+    monkeypatch.undo()
+    word = ",".join(["1"] * cli.POLY_MAX_N)
+    code, out, _ = run(capsys, "burn", word, "--k", "2")
+    assert code == 0 and json.loads(out)["2"]["success"] is True
 
 
 def test_graph_help_states_the_cap(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["graph", "--help"])
-    assert f"at most {cli.GRAPH_MAX_N}" in capsys.readouterr().out
+    assert f"at most {cli.POLY_MAX_N}" in capsys.readouterr().out
 
 
 def test_verify_pass_and_report(tmp_path, capsys):
