@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
@@ -62,11 +63,6 @@ def _opened(path: Optional[str], default=None):
         yield fh
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    with _opened(out, sys.stdout) as fh:
-        fh.write(text)
-
-
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -81,22 +77,14 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
             return "[]"
         return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
 
-    class Formatted(dict):
-        # each distinct row or `w` tuple formatted once per call
-        def __init__(self, indent: str):
-            self.indent = indent
-
-        def __missing__(self, values):
-            text = self[values] = ints(values, self.indent)
-            return text
-
-    row = Formatted("        ")
-    w = Formatted("      ")
+    # each distinct row or `w` tuple formatted once per call
+    row = functools.cache(lambda values: ints(values, "        "))
+    w = functools.cache(lambda values: ints(values, "      "))
 
     def rows(values) -> str:
         if not values:
             return "[]"
-        return "[\n      " + ",\n      ".join(map(row.__getitem__, values)) + "\n    ]"
+        return "[\n      " + ",\n      ".join(map(row, values)) + "\n    ]"
 
     lead = "[\n  "
     for r in records:
@@ -104,9 +92,22 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
         yield lead + (
             '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": %s,'
             '\n    "signs": "%s",\n    "w": %s\n  }'
-        ) % (*fields, r["signs"], w[r["w"]])
+        ) % (*fields, r["signs"], w(r["w"]))
         lead = ",\n  "
     yield "[]\n" if lead == "[\n  " else "\n]\n"
+
+
+def _burn_json(word: Word, ks: Sequence[int], indent: str = "") -> Iterator[str]:
+    """`_dump_json({str(k): burn report})` without its final newline, in chunks
+    and shifted right by `indent`: each k burns only after the previous k's
+    report is encoded, in the string order of the keys that `sort_keys` gives."""
+    lead = "{"
+    for k in sorted(ks, key=str):
+        report = dfs_burn(build_rooted(word.n, k), word).to_json()
+        text = json.dumps(report, indent=2, sort_keys=True).replace("\n", "\n  " + indent)
+        yield f'{lead}\n{indent}  "{k}": {text}'
+        lead = ","
+    yield f"\n{indent}}}"
 
 
 def _check_cap(n: int, what: str) -> None:
@@ -146,12 +147,13 @@ def cmd_check(args) -> int:
     word = Word.parse(args.word)
     ks = _parse_ks(args.k, word.n)
     _check_cap(word.n, "word classification")
-    report = classification_report(word, ks)
-    if args.trace:
-        report["burn"] = {
-            str(k): dfs_burn(build_rooted(word.n, k), word).to_json() for k in ks
-        }
-    _emit(_dump_json(report), args.out)
+    with _opened(args.out, sys.stdout) as out:
+        text = _dump_json(classification_report(word, ks))
+        if args.trace:  # "burn" sorts first among the report's keys
+            out.write('{\n  "burn": ')
+            out.writelines(_burn_json(word, ks, "  "))
+            text = "," + text[1:]
+        out.write(text)
     return EXIT_OK
 
 
@@ -159,19 +161,20 @@ def cmd_burn(args) -> int:
     word = Word.parse(args.word)
     ks = _parse_ks(args.k, word.n)
     _check_cap(word.n, "burn")
-    payload = {str(k): dfs_burn(build_rooted(word.n, k), word).to_json() for k in ks}
-    _emit(_dump_json(payload), args.out)
+    with _opened(args.out, sys.stdout) as out:
+        out.writelines(_burn_json(word, ks))
+        out.write("\n")
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
     check_nk(args.n, args.k)
     _check_cap(args.n, "graph export")
-    if args.rooted:
-        text = rooted_to_dot(build_rooted(args.n, args.k))
-    else:
-        text = graph_to_dot(build_gkn(args.n, args.k))
-    _emit(text, args.out)
+    with _opened(args.out, sys.stdout) as out:
+        if args.rooted:
+            out.write(rooted_to_dot(build_rooted(args.n, args.k)))
+        else:
+            out.write(graph_to_dot(build_gkn(args.n, args.k)))
     return EXIT_OK
 
 

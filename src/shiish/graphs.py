@@ -88,14 +88,9 @@ class RootedGraph:
         return (j - 1) % self.n + 1
 
 
-def build_rooted(n: int, k: int) -> RootedGraph:
-    """The rooted graph of (n, k), validated afresh on every call over memoised lists."""
-    return RootedGraph(n, k, _rooted_lists(n, k))
-
-
 @lru_cache(maxsize=64)
-def _rooted_lists(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The rooted graph's neighbor lists, one reversed arc per hyperplane.
+def build_rooted(n: int, k: int) -> RootedGraph:
+    """The rooted graph of (n, k), built and validated once per (n, k).
 
     x_p = x_q puts p in N(q) and x_p = x_q + c puts q + (c - 1)n in N(p);
     reading `_planes` backwards sorts each list by target, then copy,
@@ -107,7 +102,7 @@ def _rooted_lists(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             lists[p].append(q + (c - 1) * n)
         else:
             lists[q].append(p)
-    return tuple(map(tuple, lists))
+    return RootedGraph(n, k, lists)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,32 +237,24 @@ def _subset_parking(g: MultiDiGraph) -> Callable[[Sequence[int]], bool]:
     return parks
 
 
+def _dot(name: str, vertices: range, arcs: Iterable[tuple[int, int, object]]) -> str:
+    """DOT text: one line per vertex, then one per (source, target, label) arc;
+    a label of None draws the arc bare."""
+    lines = [f"digraph {name} {{", *(f"  {v};" for v in vertices)]
+    for u, v, label in arcs:
+        lines.append(f"  {u} -> {v};" if label is None else f'  {u} -> {v} [label="{label}"];')
+    return "\n".join(lines) + "\n}\n"
+
+
 def graph_to_dot(g: MultiDiGraph) -> str:
     """DOT rendering with parallel arcs drawn separately, labelled by copy index."""
-    lines = ["digraph g {"]
-    for v in range(1, g.n + 1):
-        lines.append(f"  {v};")
-    for u, v, mult in g.arcs:
-        if mult == 1:
-            lines.append(f"  {u} -> {v};")
-        else:
-            for m in range(mult):
-                lines.append(f'  {u} -> {v} [label="{m}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    arcs = ((u, v, None if mult == 1 else m) for u, v, mult in g.arcs for m in range(mult))
+    return _dot("g", range(1, g.n + 1), arcs)
 
 
 def rooted_to_dot(g: RootedGraph) -> str:
     """DOT rendering of the rooted graph; encoded parallel arcs keep their code."""
-    lines = ["digraph rooted {"]
-    for v in range(0, g.n + 1):
-        lines.append(f"  {v};")
-    for i, nbrs in enumerate(g.neighbors):
-        for j in nbrs:
-            jn = g.decode(j)
-            if j == jn:
-                lines.append(f"  {i} -> {jn};")
-            else:
-                lines.append(f'  {i} -> {jn} [label="{j}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    arcs = (
+        (i, g.decode(j), None if j <= g.n else j) for i, js in enumerate(g.neighbors) for j in js
+    )
+    return _dot("rooted", range(g.n + 1), arcs)

@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, determinism."""
 
+import io
 import json
 import os
 import random
@@ -441,6 +442,11 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
         ("regions", "--n", "6", "--k", "3", "--out"),
         ("verify", "--n-max", "6", "--json"),
         ("count", "--n-max", "6", "--out"),
+        ("check", "4213", "--out"),
+        ("check", "4213", "--trace", "--out"),
+        ("burn", "4213", "--out"),
+        ("graph", "--n", "7", "--k", "4", "--out"),
+        ("graph", "--n", "7", "--k", "4", "--rooted", "--out"),
     ],
 )
 def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
@@ -451,10 +457,55 @@ def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "_leaves", must_not_run)
     monkeypatch.setattr(cli, "verify_gate", must_not_run)
     monkeypatch.setattr(cli, "count_sweep", must_not_run)
+    for name in ("classification_report", "build_rooted", "build_gkn", "dfs_burn"):
+        monkeypatch.setattr(cli, name, must_not_run)
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, *argv, str(target))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(target) in err
+
+
+def test_streamed_burn_and_trace_equal_the_whole_payload(capsys):
+    # keys sort as strings, so "10" comes before "2" from n = 10 on
+    rng = random.Random(20261019)
+    for n in range(2, 14):
+        for _ in range(3):
+            word = shiish.Word(tuple(rng.randint(1, n) for _ in range(n)))
+            text = ",".join(map(str, word.values))
+            for raw in ("all", str(rng.randint(2, n))):
+                ks = range(2, n + 1) if raw == "all" else [int(raw)]
+                payload = {
+                    str(k): shiish.dfs_burn(shiish.build_rooted(n, k), word).to_json() for k in ks
+                }
+                code, out, _ = run(capsys, "burn", text, "--k", raw)
+                assert code == 0 and out == cli._dump_json(payload), (text, raw)
+                report = shiish.classification_report(word, ks)
+                report["burn"] = payload
+                code, out, _ = run(capsys, "check", text, "--k", raw, "--trace")
+                assert code == 0 and out == cli._dump_json(report), (text, raw)
+
+
+@pytest.mark.parametrize("trace", [("burn",), ("check", "--trace")])
+def test_each_burn_report_is_written_before_the_next_k_burns(monkeypatch, trace):
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    burn = cli.dfs_burn
+    done = []
+
+    def spy(g, word):
+        if done:  # the previous k's whole report is already in the stream
+            k, report = done[-1]
+            encoded = json.dumps(report, indent=2, sort_keys=True)
+            indent = "  " * len(trace)
+            assert f'"{k}": ' + encoded.replace("\n", "\n" + indent) in stream.getvalue()
+        report = burn(g, word)
+        done.append((g.k, report.to_json()))
+        return report
+
+    monkeypatch.setattr(cli, "dfs_burn", spy)
+    word = ",".join(map(str, range(12, 0, -1)))
+    assert main([trace[0], word, "--k", "all", *trace[1:]]) == 0
+    assert [k for k, _ in done] == sorted(range(2, 13), key=str)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
