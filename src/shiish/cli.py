@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
@@ -55,8 +54,9 @@ def _option_int(text: str) -> int:
 @contextlib.contextmanager
 def _opened(path: Optional[str], default=None):
     """`path` opened for writing, else `default`; commands open it after their
-    refusals and before their work, so an unwritable path fails at once."""
-    if not path:
+    refusals and before their work, so an unwritable path, "" among them,
+    fails at once."""
+    if path is None:
         yield default
         return
     with open(path, "w", encoding="utf-8") as fh:
@@ -77,14 +77,19 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
             return "[]"
         return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
 
-    # each distinct row or `w` tuple formatted once per call
-    row = functools.cache(lambda values: ints(values, "        "))
-    w = functools.cache(lambda values: ints(values, "      "))
+    class Formatted(dict):
+        # each distinct row or `w` tuple formatted once per call, at `indent`
+        def __missing__(self, values):
+            text = self[values] = ints(values, self.indent)
+            return text
+
+    row, w = Formatted(), Formatted()
+    row.indent, w.indent = "        ", "      "
 
     def rows(values) -> str:
         if not values:
             return "[]"
-        return "[\n      " + ",\n      ".join(map(row, values)) + "\n    ]"
+        return "[\n      " + ",\n      ".join(map(row.__getitem__, values)) + "\n    ]"
 
     lead = "[\n  "
     for r in records:
@@ -92,7 +97,7 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
         yield lead + (
             '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": %s,'
             '\n    "signs": "%s",\n    "w": %s\n  }'
-        ) % (*fields, r["signs"], w(r["w"]))
+        ) % (*fields, r["signs"], w[r["w"]])
         lead = ",\n  "
     yield "[]\n" if lead == "[\n  " else "\n]\n"
 

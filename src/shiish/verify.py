@@ -12,10 +12,10 @@ only what is refused: every n it admits gets every check, so a report's
 content never depends on it.
 
 `verify_gate` runs all of it as one report, enumerating each arrangement
-once.  Each cell sweeps [n]^n once, over raw tuples, through the private
-kernels that the public predicates wrap: `_burn` and `_subset_parking`
-from `graphs`, and `_parks_tail`, `_witness_of` and `_witness_holds`
-from `parking`.
+once.  In each cell every word set is one statement of its own rule over
+the raw tuples of [n]^n, through the private kernels that the public
+predicates wrap: `_burn` and `_subset_parking` from `graphs`, and
+`_parks_tail`, `_witness_of` and `_witness_holds` from `parking`.
 
 A word of [n]^n is handled by its rank, its index in
 `itertools.product(range(1, n + 1), repeat=n)`, and each characterization
@@ -103,37 +103,29 @@ def _region_labels(n: int, k: int) -> _Labels:
     return regions, ranks, frozenset(unranked)
 
 
-def _word_sets(n: int, k: int):
-    """One pass over the raw tuples of [n]^n for the four word characterizations.
+def _word_sets(n: int, k: int) -> tuple[dict[str, bytearray], int]:
+    """The four word characterizations of [n]^n by name, and the tail-parker count.
 
-    Per word the burn runs once, and tail parking and `_witness_of` (the
-    sorted-tail centre and the witness read off it) run once: "definition"
-    is k-partiality, and "sigma" holds the words whose witness passes the
-    explicit condition check.  Each set is a bytearray over the ranks.
-    Last comes the number of words that park the tail.
+    Each set is a bytearray over the ranks, built by its own rule over the
+    rank stream: "burning" holds the words whose burn reaches every vertex,
+    "subsets" those that pass the subset definition.  Only the words that
+    park the tail can be k-partial, so "definition" and "sigma" read just
+    those: "definition" holds the ones with a witness (`_witness_of`), and
+    "sigma" the ones whose witness passes the explicit condition check.
     """
     rooted = build_rooted(n, k)
-    subset_parks = _subset_parking(build_gkn(n, k))
-    burning = bytearray(n**n)
+    burning = bytearray(len(_burn(rooted, vals)[0]) == n + 1 for vals in _words(n))
+    subsets = bytearray(map(_subset_parking(build_gkn(n, k)), _words(n)))
+    tails = bytearray(_parks_tail(vals, k) for vals in _words(n))
     definition = bytearray(n**n)
     sigma = bytearray(n**n)
-    subsets = bytearray(n**n)
-    tail_parkers = 0
-    for rank, vals in enumerate(_words(n)):
-        if len(_burn(rooted, vals)[0]) == n + 1:
-            burning[rank] = 1
-        if subset_parks(vals):
-            subsets[rank] = 1
-        if not _parks_tail(vals, k):
-            continue
-        tail_parkers += 1
+    for rank, vals in compress(enumerate(_words(n)), tails):
         images = _witness_of(vals, k)
-        if images is None:
-            continue
-        definition[rank] = 1
-        if _witness_holds(vals, k, images):
-            sigma[rank] = 1
-    return burning, definition, sigma, subsets, tail_parkers
+        if images is not None:
+            definition[rank] = 1
+            sigma[rank] = _witness_holds(vals, k, images)
+    sets = {"burning": burning, "subsets": subsets, "definition": definition, "sigma": sigma}
+    return sets, tails.count(1)
 
 
 def _sample(n: int, have: bytearray, lack: bytearray, extra=()) -> list[list[int]]:
@@ -152,14 +144,7 @@ def cross_validate(n: int, k: int) -> EquivalenceReport:
 def _cell(n: int, k: int, labels: _Labels) -> tuple[EquivalenceReport, int]:
     """`cross_validate` against an arrangement's labels, plus the cell's tail-parker count."""
     _, reference, unranked = labels
-    burning, definition, sigma, subsets, tail_parkers = _word_sets(n, k)
-
-    named = {
-        "burning": burning,
-        "subsets": subsets,
-        "definition": definition,
-        "sigma": sigma,
-    }
+    named, tail_parkers = _word_sets(n, k)
     counts = {
         "labels": reference.count(1) + len(unranked),
         **{name: s.count(1) for name, s in named.items()},

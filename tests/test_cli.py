@@ -436,19 +436,20 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error: ") and str(target) in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("regions", "--n", "6", "--k", "3", "--out"),
-        ("verify", "--n-max", "6", "--json"),
-        ("count", "--n-max", "6", "--out"),
-        ("check", "4213", "--out"),
-        ("check", "4213", "--trace", "--out"),
-        ("burn", "4213", "--out"),
-        ("graph", "--n", "7", "--k", "4", "--out"),
-        ("graph", "--n", "7", "--k", "4", "--rooted", "--out"),
-    ],
-)
+#: Every command with an output path, its option last.
+OUTPUT_ARGVS = [
+    ("regions", "--n", "6", "--k", "3", "--out"),
+    ("verify", "--n-max", "6", "--json"),
+    ("count", "--n-max", "6", "--out"),
+    ("check", "4213", "--out"),
+    ("check", "4213", "--trace", "--out"),
+    ("burn", "4213", "--out"),
+    ("graph", "--n", "7", "--k", "4", "--out"),
+    ("graph", "--n", "7", "--k", "4", "--rooted", "--out"),
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS)
 def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the output path was opened")
@@ -463,6 +464,23 @@ def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, mon
     code, out, err = run(capsys, *argv, str(target))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS)
+def test_empty_output_path_is_refused_before_any_work(capsys, monkeypatch, argv):
+    # "" names no file: it is neither stdout nor "no report"
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the output path was opened")
+
+    monkeypatch.delenv("SHIISH_MAX_N", raising=False)
+    for name in (
+        "_leaves", "verify_gate", "count_sweep", "classification_report",
+        "build_rooted", "build_gkn", "dfs_burn",
+    ):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out, err = run(capsys, *argv, "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_streamed_burn_and_trace_equal_the_whole_payload(capsys):

@@ -138,3 +138,14 @@ def test_verify_report_is_golden(capsys, tmp_path):
     assert sha256(report.read_bytes()) == (
         "bec1f5136aced1c65fa65f613d70f7ad231b3bde1b267a76713fa3cb555520a8"
     )
+
+
+def test_benchmark_verify_report_is_golden(capsys, tmp_path):
+    # the bytes of the benchmark's verify_n5 workload
+    report = tmp_path / "report.json"
+    assert main(["verify", "--n-max", "5", "--json", str(report)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert sha256(out) == "4ee709dec41fc5d06d5da5f98855db5b24db3f854c1b83f9479b1ff3d9631d15"
+    assert sha256(report.read_bytes()) == (
+        "39b2a8b156500d219501e5db4cbeeb28ff12a0f45c9b8bf144ff3f3606ac6f36"
+    )

@@ -124,7 +124,8 @@ def decoded(n, ranks):
 def test_fused_sweep_matches_the_per_word_oracles(n):
     # burning, definition, sigma and subsets, set for set, and the tail parkers
     for k in range(2, n + 1):
-        *sets, tail_parkers = _word_sets(n, k)
+        named, tail_parkers = _word_sets(n, k)
+        sets = [named[name] for name in ("burning", "definition", "sigma", "subsets")]
         assert all(len(s) == n**n and set(s) <= {0, 1} for s in sets)
         assert (*(decoded(n, s) for s in sets), tail_parkers) == word_sets_by_definition(n, k)
 
