@@ -32,16 +32,16 @@ _SIGN_DIGITS = bytes.maketrans(bytes((BELOW, ABOVE)), b"01")
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The hyperplane x_p - x_q = c, with p < q and c >= 0."""
+    """The hyperplane x_p - x_q = c, with plain ints p < q and c >= 0."""
 
     p: int
     q: int
     c: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.p < self.q:
+        if type(self.p) is not int or type(self.q) is not int or not 1 <= self.p < self.q:
             raise ValueError(f"need 1 <= p < q, got p={self.p}, q={self.q}")
-        if self.c < 0:
+        if type(self.c) is not int or self.c < 0:
             raise ValueError(f"offset must be >= 0, got {self.c}")
 
     def equation(self) -> str:
@@ -60,10 +60,11 @@ class ArrangementSpec:
 
     def __post_init__(self) -> None:
         # Each pair (p, q) owns one contiguous slice of positions, equality
-        # first, then offsets c_1 < ... < c_m.  A chamber shows it one of m + 2
-        # patterns: all BELOW (x_q wins), or the equality and the first t
-        # offsets ABOVE (x_p wins, in window c_{t+1}, or in overflow if t = m).
-        # `_read` maps each pattern to (winner, window or None, overflow or None).
+        # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
+        # t hyperplanes of the slice and BELOW on the rest, so the count t
+        # alone names the outcome.  Row t of the pair, read by `_read`, is
+        # (winner, window or None, overflow or None): x_q wins at t = 0, x_p
+        # in window c_t for 1 <= t <= m, and x_p in overflow at t = m + 1.
         pairs = []  # (start, p, q, offsets)
         prev = (0, 0, -1)
         for pos, hp in enumerate(self.hyperplanes):
@@ -80,11 +81,8 @@ class ArrangementSpec:
             prev = (hp.p, hp.q, hp.c)
         slices = []
         for start, p, q, offsets in pairs:
-            m = len(offsets)
-            table = {(BELOW,) * (m + 1): (q, None, None), (ABOVE,) * (m + 1): (p, None, (p, q))}
-            for t, c in enumerate(offsets):
-                table[(ABOVE,) * (t + 1) + (BELOW,) * (m - t)] = (p, (p, q, c), None)
-            slices.append((start, start + m + 1, table))
+            rows = [(q, None, None)] + [(p, (p, q, c), None) for c in offsets] + [(p, None, (p, q))]
+            slices.append((start, start + len(offsets) + 1, tuple(rows)))
         object.__setattr__(self, "_slices", tuple(slices))
         object.__setattr__(self, "_max_offset", {(p, q): o[-1] for _, p, q, o in pairs if o})
         # (p - 1, q - 1, c) per hyperplane, the form `_certify` reads
@@ -360,8 +358,8 @@ def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, 
     """
     wins = [0] * (spec.n + 1)
     windows, overflow = [], []
-    for start, stop, table in spec._slices:
-        winner, window, over = table[signs[start:stop]]
+    for start, stop, outcomes in spec._slices:
+        winner, window, over = outcomes[signs[start:stop].count(ABOVE)]
         wins[winner] += 1
         if window:
             windows.append(window)

@@ -40,10 +40,10 @@ def check_budget(n: int, what: str) -> None:
 
 
 def check_nk(n: int, k: int) -> None:
-    """The parameter domain of the family: n >= 2 and 2 <= k <= n."""
-    if n < 2:
+    """The parameter domain of the family: plain ints n >= 2 and 2 <= k <= n."""
+    if type(n) is not int or n < 2:
         raise ValueError(f"n={n} must be >= 2")
-    if not 2 <= k <= n:
+    if type(k) is not int or not 2 <= k <= n:
         raise ValueError(f"k={_excerpt(k)} outside [2, {_excerpt(n)}]")
 
 
@@ -71,7 +71,7 @@ def _excerpt(value) -> str:
 
 @dataclass(frozen=True)
 class Word:
-    """An n-tuple whose entries all lie in [1, n]."""
+    """An n-tuple whose entries are plain ints in [1, n]."""
 
     values: tuple[int, ...]
 
@@ -81,7 +81,7 @@ class Word:
         if n == 0:
             raise ValueError("a word needs at least one entry")
         for v in self.values:
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if type(v) is not int or not 1 <= v <= n:
                 raise ValueError(f"word entry {_excerpt(v)} outside [1, {n}]")
 
     @property
@@ -143,15 +143,15 @@ class Word:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection on [n]; images[i-1] is the image of i."""
+    """A bijection on [n] in plain ints; images[i-1] is the image of i."""
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images!r} is not a bijection on [1, {n}]")
+        images, n = self.images, len(self.images)
+        if any(type(v) is not int for v in images) or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"{images!r} is not a bijection on [1, {n}]")
 
     @property
     def n(self) -> int:
@@ -160,7 +160,7 @@ class Permutation:
 
 @dataclass(frozen=True)
 class Label:
-    """A vector of positive integers attached to a region.
+    """A vector of positive plain ints attached to a region.
 
     Labels of the arrangements handled here happen to stay within [1, n];
     that stronger property is checked by the verification harness rather
@@ -174,7 +174,7 @@ class Label:
         if not self.entries:
             raise ValueError("a label needs at least one entry")
         for v in self.entries:
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ValueError(f"label entry {v!r} is not a positive integer")
 
     @property

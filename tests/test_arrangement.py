@@ -561,9 +561,17 @@ def test_region_next_to_base_two_arc_diagram():
 
 # ---------------------------------------------------------------- exports
 
-@pytest.mark.parametrize("n, k", _READER_CASES)
-def test_describe_matches_the_pair_scan_oracle(n, k):
-    spec = build_arrangement(n, k)
+# the reader cases, plus two lists outside the family: in the gapped one
+# pair (1, 3) has the single offset 2, so a window's offset differs from its
+# index there; the empty one has no pair at all
+_READER_SPECS = [pytest.param(build_arrangement(n, k), id=f"{n}-{k}") for n, k in _READER_CASES] + [
+    pytest.param(ArrangementSpec(4, 3, _GAPPED), id="4-3-gapped"),
+    pytest.param(ArrangementSpec(3, 2, ()), id="3-2-empty"),
+]
+
+
+@pytest.mark.parametrize("spec", _READER_SPECS)
+def test_describe_matches_the_pair_scan_oracle(spec):
     for region, label in enumerate_regions(spec):
         desc = describe(region)
         expected = describe_by_pairs(spec, region)
@@ -576,9 +584,8 @@ def test_describe_matches_the_pair_scan_oracle(n, k):
         assert record["I"] == tuple(sorted(expected.overflow))
 
 
-@pytest.mark.parametrize("n, k", _READER_CASES)
-def test_draw_diagram_matches_the_scan_oracle(n, k):
-    spec = build_arrangement(n, k)
+@pytest.mark.parametrize("spec", _READER_SPECS)
+def test_draw_diagram_matches_the_scan_oracle(spec):
     for region, label in enumerate_regions(spec):
         desc = describe(region)
         arcs = draw_diagram(desc).arcs

@@ -7,13 +7,17 @@ from oracles import all_words
 
 import shiish
 from shiish import (
+    ArrangementSpec,
     BudgetError,
+    Hyperplane,
     Label,
     Permutation,
     Word,
+    build_arrangement,
     check_budget,
     check_nk,
     compose,
+    count_tail_parkers,
     size_budget,
 )
 
@@ -186,6 +190,28 @@ def test_check_nk_domain():
     for n, k in ((1, 1), (1, 2), (4, 1), (4, 5), (0, 0)):
         with pytest.raises(ValueError):
             check_nk(n, k)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: Word((True, 2)), id="word"),
+        pytest.param(lambda: Label((True, 1)), id="label"),
+        pytest.param(lambda: Permutation((True, 2)), id="permutation"),
+        pytest.param(lambda: Hyperplane(True, 2, False), id="hyperplane-bools"),
+        # a fractional offset would break the search's scale argument
+        pytest.param(
+            lambda: ArrangementSpec(2, 2, (Hyperplane(1, 2, 0), Hyperplane(1, 2, 0.5))),
+            id="hyperplane-float-offset",
+        ),
+        pytest.param(lambda: count_tail_parkers(2.5, 2), id="check_nk-float-n"),
+        pytest.param(lambda: build_arrangement(3.0, 2), id="check_nk-float-n-arrangement"),
+        pytest.param(lambda: check_nk(3, 2.0), id="check_nk-float-k"),
+    ],
+)
+def test_value_types_take_plain_ints(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_every_public_name_resolves():
