@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Iterator
 
-from .core import Label, Permutation, check_budget, check_nk
+from .core import Label, Permutation, _excerpt, check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
@@ -59,6 +59,11 @@ class ArrangementSpec:
     hyperplanes: tuple[Hyperplane, ...]
 
     def __post_init__(self) -> None:
+        # k may lie outside the family: a list of any other shape carries any k
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n={_excerpt(self.n)} must be an int >= 1")
+        if type(self.k) is not int:
+            raise ValueError(f"k={_excerpt(self.k)} must be an int")
         # Each pair (p, q) owns one contiguous slice of positions, equality
         # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
         # t hyperplanes of the slice and BELOW on the rest, so the count t
@@ -158,7 +163,7 @@ class Region:
             raise ValueError("one sign per hyperplane required")
         if len(point) != spec.n:
             raise ValueError("witness point has the wrong dimension")
-        if not all(isinstance(x, int) for x in (*point, scale)):
+        if not all(type(x) is int for x in (*point, scale)):
             raise ValueError("witness point and scale must be integers")
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")

@@ -105,10 +105,11 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
 def _burn_json(word: Word, ks: Sequence[int], indent: str = "") -> Iterator[str]:
     """`_dump_json({str(k): burn report})` without its final newline, in chunks
     and shifted right by `indent`: each k burns only after the previous k's
-    report is encoded, in the string order of the keys that `sort_keys` gives."""
+    report is encoded, in the string order of the keys that `sort_keys` gives.
+    Each graph is read once, so it is built past `build_rooted`'s memo."""
     lead = "{"
     for k in sorted(ks, key=str):
-        report = dfs_burn(build_rooted(word.n, k), word).to_json()
+        report = dfs_burn(build_rooted.__wrapped__(word.n, k), word).to_json()
         text = json.dumps(report, indent=2, sort_keys=True).replace("\n", "\n  " + indent)
         yield f'{lead}\n{indent}  "{k}": {text}'
         lead = ","

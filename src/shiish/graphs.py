@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .arrangement import _planes
-from .core import Word, check_budget
+from .core import Word, _excerpt, check_budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +29,8 @@ class MultiDiGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(tuple(arc) for arc in self.arcs))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n={_excerpt(self.n)} must be an int >= 1")
         seen = set()
         for u, v, mult in self.arcs:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -123,19 +123,18 @@ class BurnReport:
         }
 
 
-def _burn(g: RootedGraph, values: Sequence[int]) -> tuple[list, list, list]:
-    """The burn loop over raw entries: (burnt, tree, dampened) as in BurnReport.
+def _burn(g: RootedGraph, values: Sequence[int]) -> tuple[list, list]:
+    """The burn loop over raw entries: (tree, dampened) as in BurnReport.
 
-    One frame per burning vertex holds the iterator over its neighbor list;
-    descending into a newly burnt vertex suspends that iterator, so the
-    visit order is exactly that of the recursive formulation.
+    Its one state is a count per vertex: what an unburnt vertex's entry has
+    left, 0 once it has burnt, and 0 for the root from the start.  One frame
+    per burning vertex holds the iterator over its neighbor list; descending
+    into a newly burnt vertex suspends that iterator, so the visit order is
+    exactly that of the recursive formulation.
     """
     n = g.n
     neighbors = g.neighbors
-    vals = [0, *values]
-    burnt_flag = [False] * (n + 1)
-    burnt_flag[0] = True
-    burnt = [0]
+    left = [0, *values]
     tree: list[tuple[int, int]] = []
     damp: list[tuple[int, int]] = []
     stack = [(0, iter(neighbors[0]))]
@@ -143,19 +142,18 @@ def _burn(g: RootedGraph, values: Sequence[int]) -> tuple[list, list, list]:
         i, nbrs = stack[-1]
         for j in nbrs:
             jn = (j - 1) % n + 1
-            if burnt_flag[jn]:
-                continue
-            if vals[jn] == 1:
+            count = left[jn]
+            if count == 1:
                 tree.append((i, j))
-                burnt.append(jn)
-                burnt_flag[jn] = True
+                left[jn] = 0
                 stack.append((jn, iter(neighbors[jn])))
                 break
-            damp.append((i, j))
-            vals[jn] -= 1
+            if count:
+                damp.append((i, j))
+                left[jn] = count - 1
         else:
             stack.pop()
-    return burnt, tree, damp
+    return tree, damp
 
 
 def dfs_burn(g: RootedGraph, a: Word) -> BurnReport:
@@ -165,11 +163,15 @@ def dfs_burn(g: RootedGraph, a: Word) -> BurnReport:
     descends); otherwise the arc is dampened and the count drops by one.
     The recursion of the textbook formulation is replaced by an explicit
     stack of neighbor iterators (`_burn`), preserving the exact visit order.
+    The burnt vertices are the root, then each tree arc's target in the
+    order the arcs joined, so the burn succeeds exactly when the tree has n
+    arcs.
     """
     if a.n != g.n:
         raise ValueError(f"dimension mismatch: word n={a.n}, graph n={g.n}")
-    burnt, tree, damp = _burn(g, a.values)
-    return BurnReport(tuple(burnt), tuple(tree), tuple(damp), len(burnt) == g.n + 1)
+    tree, damp = _burn(g, a.values)
+    burnt = (0, *(g.decode(j) for _, j in tree))
+    return BurnReport(burnt, tuple(tree), tuple(damp), len(tree) == g.n)
 
 
 def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
@@ -190,7 +192,7 @@ def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
     given = set(arcs)
     vals = [1] * n
     while True:
-        _, grown, _ = _burn(g, vals)
+        grown, _ = _burn(g, vals)
         stray = next((arc for arc in grown if arc not in given), None)
         if stray is None:
             break
@@ -200,29 +202,32 @@ def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
     return Word(tuple(vals))
 
 
-def _subset_parking(g: MultiDiGraph) -> Callable[[Sequence[int]], bool]:
+def _subset_parking(g: RootedGraph) -> Callable[[Sequence[int]], bool]:
     """Membership by the subset definition, as a table lookup.
 
-    A word a is a parking function of g when every non-empty I subset of
+    A word a is a parking function of G when every non-empty I subset of
     [n] holds some i sending at least a[i] - 1 arcs (with multiplicity) out
-    of I.  Subsets I of [n] are bit positions of one integer (bit I for the
+    of I.  The arcs of G into v are the entries of v's rooted list, one
+    entry per copy, so entry j of N(v) is an arc from decode(j) to v.
+    Subsets I of [n] are bit positions of one integer (bit I for the
     mask I).  good[i-1][v] holds the non-empty I containing i with
-    outdeg_I(i) >= v - 1, so a is a parking function of g exactly when the
+    outdeg_I(i) >= v - 1, so a is a parking function of G exactly when the
     union of good[i-1][a[i]] over all i holds every non-empty I.
     The table is built once per graph; each word costs n lookups.
     """
     n = g.n
     check_budget(n, "subset sweep")
     out = [[] for _ in range(n + 1)]
-    for u, v, mult in g.arcs:
-        out[u].append((v, mult))
+    for v in range(1, n + 1):
+        for j in g.neighbors[v]:
+            out[g.decode(j)].append(v)
     good = []
     for i in range(1, n + 1):
         row = [0] * (n + 1)
         for mask in range(1, 1 << n):
             if not mask >> (i - 1) & 1:
                 continue
-            outdeg = sum(mult for v, mult in out[i] if not mask >> (v - 1) & 1)
+            outdeg = sum(1 for v in out[i] if not mask >> (v - 1) & 1)
             for v in range(1, min(outdeg + 1, n) + 1):
                 row[v] |= 1 << mask
         good.append(row)

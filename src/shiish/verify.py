@@ -39,7 +39,7 @@ from typing import Callable
 
 from .arrangement import _leaves, build_arrangement
 from .core import Word, check_budget, compose
-from .graphs import _burn, _subset_parking, build_gkn, build_rooted, dfs_burn
+from .graphs import _burn, _subset_parking, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
     _witness_holds,
@@ -107,15 +107,16 @@ def _word_sets(n: int, k: int) -> tuple[dict[str, bytearray], int]:
     """The four word characterizations of [n]^n by name, and the tail-parker count.
 
     Each set is a bytearray over the ranks, built by its own rule over the
-    rank stream: "burning" holds the words whose burn reaches every vertex,
-    "subsets" those that pass the subset definition.  Only the words that
-    park the tail can be k-partial, so "definition" and "sigma" read just
-    those: "definition" holds the ones with a witness (`_witness_of`), and
-    "sigma" the ones whose witness passes the explicit condition check.
+    rank stream: "burning" holds the words whose burn grows a spanning tree,
+    "subsets" those that pass the subset definition; both read the cell's one
+    rooted graph.  Only the words that park the tail can be k-partial, so
+    "definition" and "sigma" read just those: "definition" holds the ones
+    with a witness (`_witness_of`), and "sigma" the ones whose witness passes
+    the explicit condition check.
     """
     rooted = build_rooted(n, k)
-    burning = bytearray(len(_burn(rooted, vals)[0]) == n + 1 for vals in _words(n))
-    subsets = bytearray(map(_subset_parking(build_gkn(n, k)), _words(n)))
+    burning = bytearray(len(_burn(rooted, vals)[0]) == n for vals in _words(n))
+    subsets = bytearray(map(_subset_parking(rooted), _words(n)))
     tails = bytearray(_parks_tail(vals, k) for vals in _words(n))
     definition = bytearray(n**n)
     sigma = bytearray(n**n)

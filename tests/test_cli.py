@@ -526,6 +526,16 @@ def test_each_burn_report_is_written_before_the_next_k_burns(monkeypatch, trace)
     assert [k for k, _ in done] == sorted(range(2, 13), key=str)
 
 
+def test_streamed_burn_leaves_the_rooted_graph_memo_empty(capsys):
+    # each k's graph is read once, so none of them is kept
+    word = ",".join(map(str, range(1, 11)))
+    shiish.build_rooted.cache_clear()
+    for argv in (("burn", word), ("check", word, "--trace")):
+        code, out, _ = run(capsys, *argv, "--k", "all")
+        assert code == 0 and out
+    assert shiish.build_rooted.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_regions_certifies_every_streamed_leaf(capsys, monkeypatch, fmt):
     # the search hands over a corrupt witness; the certified stream refuses it

@@ -11,8 +11,11 @@ from shiish import (
     BudgetError,
     Hyperplane,
     Label,
+    MultiDiGraph,
     Permutation,
+    Region,
     Word,
+    base_region,
     build_arrangement,
     check_budget,
     check_nk,
@@ -210,6 +213,33 @@ def test_check_nk_domain():
     ],
 )
 def test_value_types_take_plain_ints(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def _bool_point_region():
+    spec = build_arrangement(2, 2)
+    base = base_region(spec)
+    assert base.point == (1, 0)
+    return Region(spec, base.signs, (True, False), 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ArrangementSpec(0, 2, ()), id="spec-n-zero"),
+        pytest.param(lambda: ArrangementSpec(-1, 2, ()), id="spec-n-negative"),
+        pytest.param(lambda: ArrangementSpec(3.0, 2, ()), id="spec-n-float"),
+        pytest.param(lambda: ArrangementSpec(True, 2, ()), id="spec-n-bool"),
+        pytest.param(lambda: ArrangementSpec(3, 2.0, ()), id="spec-k-float"),
+        pytest.param(lambda: ArrangementSpec(3, True, ()), id="spec-k-bool"),
+        pytest.param(lambda: MultiDiGraph(0, ()), id="graph-n-zero"),
+        pytest.param(lambda: MultiDiGraph(2.0, ()), id="graph-n-float"),
+        pytest.param(lambda: MultiDiGraph(True, ()), id="graph-n-bool"),
+        pytest.param(_bool_point_region, id="region-bool-point"),
+    ],
+)
+def test_structures_refuse_a_malformed_n_or_point(build):
     with pytest.raises(ValueError):
         build()
 

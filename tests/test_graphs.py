@@ -405,7 +405,7 @@ def test_subset_table_matches_bruteforce():
     for n in range(2, 6):
         for k in range(2, n + 1):
             g = build_gkn(n, k)
-            parks = _subset_parking(g)
+            parks = _subset_parking(build_rooted(n, k))
             for a in all_words(n):
                 assert parks(a.values) == is_g_parking_bruteforce(g, a), (a, k)
 
@@ -431,7 +431,7 @@ def test_bruteforce_size_guard():
     arcs = tuple((u, v, 1) for u in range(1, 18) for v in range(1, 18) if u != v)
     big = MultiDiGraph(17, arcs)
     with pytest.raises(BudgetError):
-        _subset_parking(big)
+        _subset_parking(build_rooted(17, 2))
     with pytest.raises(BudgetError):
         is_g_parking_bruteforce(big, Word((1,) * 17))
 
