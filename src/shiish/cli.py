@@ -67,20 +67,22 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _json_ints(values, indent: str) -> str:
+    """The indent=2 layout of a list of ints, or of items already laid out, whose
+    items sit at `indent`."""
+    if not values:
+        return "[]"
+    return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
+
+
 def _regions_json(records: Iterable[dict]) -> Iterator[str]:
     """`_dump_json(list(records))` in chunks, for `region_record` records: their schema
     is fixed, so this skips the pure-Python encoder that `indent` selects."""
 
-    def ints(values, indent: str = "      ") -> str:
-        # the indent=2 layout of a list of ints, or of encoded items, at `indent`
-        if not values:
-            return "[]"
-        return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
-
     class Formatted(dict):
         # each distinct row or `w` tuple formatted once per call, at `indent`
         def __missing__(self, values):
-            text = self[values] = ints(values, self.indent)
+            text = self[values] = _json_ints(values, self.indent)
             return text
 
     row, w = Formatted(), Formatted()
@@ -93,7 +95,7 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
 
     lead = "[\n  "
     for r in records:
-        fields = (rows(r["H"]), rows(r["I"]), rows(r["diagram"]), ints(r["label"]))
+        fields = (rows(r["H"]), rows(r["I"]), rows(r["diagram"]), _json_ints(r["label"], "      "))
         yield lead + (
             '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": %s,'
             '\n    "signs": "%s",\n    "w": %s\n  }'
@@ -105,13 +107,24 @@ def _regions_json(records: Iterable[dict]) -> Iterator[str]:
 def _burn_json(word: Word, ks: Sequence[int], indent: str = "") -> Iterator[str]:
     """`_dump_json({str(k): burn report})` without its final newline, in chunks
     and shifted right by `indent`: each k burns only after the previous k's
-    report is encoded, in the string order of the keys that `sort_keys` gives.
-    Each graph is read once, so it is built past `build_rooted`'s memo."""
+    report is written, in the string order of the keys that `sort_keys` gives.
+    The report's schema is fixed, so it is laid out as `_regions_json` lays
+    out its records.  Each graph is read once, so it is built past
+    `build_rooted`'s memo."""
+    fields, items, ends = (indent + " " * width for width in (4, 6, 8))
+
+    def arcs(values) -> str:
+        return _json_ints([_json_ints(arc, ends) for arc in values], items)
+
     lead = "{"
     for k in sorted(ks, key=str):
-        report = dfs_burn(build_rooted.__wrapped__(word.n, k), word).to_json()
-        text = json.dumps(report, indent=2, sort_keys=True).replace("\n", "\n  " + indent)
-        yield f'{lead}\n{indent}  "{k}": {text}'
+        report = dfs_burn(build_rooted.__wrapped__(word.n, k), word)
+        yield (
+            f'{lead}\n{indent}  "{k}": {{\n{fields}"burnt": {_json_ints(report.burnt, items)},'
+            f'\n{fields}"damp": {arcs(report.dampened)},'
+            f'\n{fields}"success": {"true" if report.success else "false"},'
+            f'\n{fields}"tree": {arcs(report.tree)}\n{indent}  }}'
+        )
         lead = ","
     yield f"\n{indent}}}"
 

@@ -156,6 +156,63 @@ def _burn(g: RootedGraph, values: Sequence[int]) -> tuple[list, list]:
     return tree, damp
 
 
+def _burning_ranks(g: RootedGraph) -> bytearray:
+    """The words of [n]^n whose burn grows a spanning tree, as marks over their ranks.
+
+    Branching form of `_burn`, with the same neighbor order and the same
+    count per vertex, starting from the all-n word: an unburnt vertex holds
+    n minus its dampenings so far, 0 once burnt.  A word's entry at v is one
+    more than the number of times v was dampened before it burnt, so at
+    each touch of v with count c > 1 the run branches: either v burns now,
+    entry n - c + 1, or it is dampened to c - 1, as in `_burn`.  At c = 1 it
+    can only burn.  A word fixes every branch, so each run in which all n
+    vertices burn marks exactly one rank, the rank of the word it burnt:
+    its index in `itertools.product(range(1, n + 1), repeat=n)`.
+
+    A run goes on with the burn and leaves each dampening, with a copy of
+    its state, on a stack of runs still to finish.  A run records its rank
+    once the n-th vertex burns, since what is left of it only scans burnt
+    vertices.
+    """
+    n = g.n
+    targets = [tuple(g.decode(j) for j in lst) for lst in g.neighbors]
+    weights = [0, *(n ** (n - v) for v in range(1, n + 1))]
+    ranks = bytearray(n**n)
+    # one run: the burning vertices, innermost last; where each one's scan of
+    # its neighbor list resumes; the counts; the rank so far; the burnt count
+    runs = [([0], [0], [0, *[n] * n], 0, 0)]
+    while runs:
+        frames, at, left, rank, burnt = runs.pop()
+        while frames:
+            nbrs = targets[frames[-1]]
+            p = at[-1]
+            while p < len(nbrs):
+                v = nbrs[p]
+                p += 1
+                count = left[v]
+                if not count:
+                    continue
+                at[-1] = p
+                if count > 1:  # the word may also dampen v here: a run for later
+                    dampened = left[:]
+                    dampened[v] = count - 1
+                    runs.append((frames[:], at[:], dampened, rank, burnt))
+                rank += (n - count) * weights[v]  # v burns, with entry n - count + 1
+                burnt += 1
+                if burnt == n:
+                    ranks[rank] = 1
+                    frames.clear()
+                    break
+                left[v] = 0
+                frames.append(v)
+                at.append(0)
+                break
+            else:
+                frames.pop()
+                at.pop()
+    return ranks
+
+
 def dfs_burn(g: RootedGraph, a: Word) -> BurnReport:
     """Depth-first burn from the root over the ordered neighbor lists.
 

@@ -12,10 +12,20 @@ only what is refused: every n it admits gets every check, so a report's
 content never depends on it.
 
 `verify_gate` runs all of it as one report, enumerating each arrangement
-once.  In each cell every word set is one statement of its own rule over
-the raw tuples of [n]^n, through the private kernels that the public
-predicates wrap: `_burn` and `_subset_parking` from `graphs`, and
-`_parks_tail`, `_witness_of` and `_witness_holds` from `parking`.
+once.  In each cell every word set is built by its own rule, through the
+private kernels that the public predicates wrap.  The burning set is
+generated run by run by the branching burn `graphs._burning_ranks`, in
+time close to its size; the subset set is one `graphs._subset_parking`
+lookup per word of [n]^n.  The definition and sigma sets and the
+tail-parker count take one verdict per head and tail orbit, the words
+with the same first k - 1 entries and the same multiset of the others:
+`_parks_tail` once per orbit, `_witness_of` and `_witness_holds` once per
+head and orbit, each on the orbit's word with a non-increasing tail.
+Parking the tail counts tail values.  The witness of a word a is
+sigma = pi o tau, where a o pi is that sorted-tail word and tau is read
+off its centre, and both witness conditions read only a's first entry,
+a o sigma = (a o pi) o tau and tau.  So every verdict holds for the whole
+orbit (`_word_sets` gives the argument in full).
 
 A word of [n]^n is handled by its rank, its index in
 `itertools.product(range(1, n + 1), repeat=n)`, and each characterization
@@ -32,6 +42,7 @@ first differing ranks in sorted order.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from itertools import compress, islice, product
 from operator import gt, mul
@@ -39,7 +50,7 @@ from typing import Callable
 
 from .arrangement import _leaves, build_arrangement
 from .core import Word, check_budget, compose
-from .graphs import _burn, _subset_parking, build_rooted, dfs_burn
+from .graphs import _burning_ranks, _subset_parking, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
     _witness_holds,
@@ -103,30 +114,72 @@ def _region_labels(n: int, k: int) -> _Labels:
     return regions, ranks, frozenset(unranked)
 
 
+def _tail_orbits(n: int, k: int) -> list[tuple[tuple[int, ...], array]]:
+    """The tail orbits of (n, k) that park: each sorted tail and the offsets of its orbit.
+
+    A word's tail is its entries k..n, and a tail's offset is its rank
+    among the tails, so a word's rank is its head's rank times
+    n**(n - k + 1) plus its tail's offset.  The orbit of a tail is every
+    rearrangement of it, and the sorted tail is its non-increasing one.
+    `_parks_tail` only counts tail values, so it runs once per orbit, on
+    the sorted tail after an all-ones head.
+    """
+    orbits: dict[tuple[int, ...], array] = {}
+    for offset, tail in enumerate(product(range(1, n + 1), repeat=n - k + 1)):
+        orbits.setdefault(tuple(sorted(tail, reverse=True)), array("L")).append(offset)
+    head = (1,) * (k - 1)
+    return [(tail, offsets) for tail, offsets in orbits.items() if _parks_tail(head + tail, k)]
+
+
 def _word_sets(n: int, k: int) -> tuple[dict[str, bytearray], int]:
     """The four word characterizations of [n]^n by name, and the tail-parker count.
 
-    Each set is a bytearray over the ranks, built by its own rule over the
-    rank stream: "burning" holds the words whose burn grows a spanning tree,
-    "subsets" those that pass the subset definition; both read the cell's one
-    rooted graph.  Only the words that park the tail can be k-partial, so
-    "definition" and "sigma" read just those: "definition" holds the ones
-    with a witness (`_witness_of`), and "sigma" the ones whose witness passes
-    the explicit condition check.
+    Each set is a bytearray over the ranks, built by its own rule.
+    "burning" holds the words whose burn grows a spanning tree, generated
+    run by run (`_burning_ranks`); "subsets" those that pass the subset
+    definition, one lookup per word; both read the cell's one rooted graph.
+    Only the words that park the tail can be k-partial, and parking the
+    tail is a property of the tail's orbit (`_tail_orbits`).  "definition"
+    holds the words with a witness (`_witness_of`), and "sigma" the ones
+    whose witness passes the explicit condition check (`_witness_holds`).
+
+    Both verdicts are taken once per head and parking tail orbit, on the
+    word w with that head and the sorted tail, and hold for every word a of
+    the orbit.  The witness of a is pi o tau, where a o pi = w for the
+    sort permutation pi, which fixes the head, and tau is read off the
+    centre of w alone, so a o sigma = w o tau for sigma = pi o tau.  The
+    conditions read a only through a o sigma and a[1], and sigma only
+    through the positions it sends below k and its values there.  Those
+    are tau's, because pi fixes [1, k - 1] and maps [k, n] onto itself.
     """
     rooted = build_rooted(n, k)
-    burning = bytearray(len(_burn(rooted, vals)[0]) == n for vals in _words(n))
-    subsets = bytearray(map(_subset_parking(rooted), _words(n)))
-    tails = bytearray(_parks_tail(vals, k) for vals in _words(n))
+    orbits = _tail_orbits(n, k)
+    block = n ** (n - k + 1)  # the words that share one head
     definition = bytearray(n**n)
     sigma = bytearray(n**n)
-    for rank, vals in compress(enumerate(_words(n)), tails):
-        images = _witness_of(vals, k)
-        if images is not None:
-            definition[rank] = 1
-            sigma[rank] = _witness_holds(vals, k, images)
-    sets = {"burning": burning, "subsets": subsets, "definition": definition, "sigma": sigma}
-    return sets, tails.count(1)
+    for h, head in enumerate(product(range(1, n + 1), repeat=k - 1)):
+        base = h * block
+        for tail, offsets in orbits:
+            vals = head + tail
+            images = _witness_of(vals, k)
+            if images is None:
+                continue
+            holds = _witness_holds(vals, k, images)
+            for offset in offsets:
+                definition[base + offset] = 1
+                sigma[base + offset] = holds
+    sets = {
+        "burning": _burning_ranks(rooted),
+        "subsets": bytearray(map(_subset_parking(rooted), _words(n))),
+        "definition": definition,
+        "sigma": sigma,
+    }
+    return sets, _orbit_words(n, k, orbits)
+
+
+def _orbit_words(n: int, k: int, orbits: list) -> int:
+    """The number of words whose tail lies in one of `orbits`: n**(k - 1) heads per tail."""
+    return n ** (k - 1) * sum(len(offsets) for _, offsets in orbits)
 
 
 def _sample(n: int, have: bytearray, lack: bytearray, extra=()) -> list[list[int]]:
@@ -255,15 +308,16 @@ def count_sweep(n_max: int) -> dict:
     """Region counts and tail-parker counts for 2 <= n <= n_max, every k.
 
     Region counts are the certified leaves of each arrangement (`_leaves`),
-    matched against (n + 1)**(n - 1); tail-parker counts come from a single
-    brute-force pass over [n]^n and are matched against the closed form.
+    matched against (n + 1)**(n - 1); tail-parker counts are the sizes of
+    the parking tail orbits (`_tail_orbits`), each met by every head, and
+    are matched against the closed form.
     Refused when n_max is below 2 or above the size budget.
     """
     _check_n_max(n_max, "count sweep")
     rows = {}
     for n, k in _cells(n_max):
         leaves = sum(1 for _ in _leaves(build_arrangement(n, k)))
-        rows[n, k] = leaves, sum(_parks_tail(vals, k) for vals in _words(n))
+        rows[n, k] = leaves, _orbit_words(n, k, _tail_orbits(n, k))
     return _counts(rows)
 
 

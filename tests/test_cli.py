@@ -503,6 +503,27 @@ def test_streamed_burn_and_trace_equal_the_whole_payload(capsys):
                 assert code == 0 and out == cli._dump_json(report), (text, raw)
 
 
+def test_burn_writer_matches_json_dumps():
+    # the fixed layout of every field at both shifts; all ones dampens nothing
+    # and all n burns nothing, so each arc list is also met empty
+    rng = random.Random(20261020)
+    words = [shiish.Word((v,) * n) for n in range(2, 13) for v in (1, n)]
+    for n in range(2, 13):
+        words += [shiish.Word(tuple(rng.randint(1, n) for _ in range(n))) for _ in range(4)]
+    reports = []
+    for word in words:
+        ks = range(2, word.n + 1)
+        payload = {
+            str(k): shiish.dfs_burn(shiish.build_rooted(word.n, k), word).to_json() for k in ks
+        }
+        encoded = json.dumps(payload, indent=2, sort_keys=True)
+        assert "".join(cli._burn_json(word, ks)) == encoded, word
+        assert "".join(cli._burn_json(word, ks, "  ")) == encoded.replace("\n", "\n  "), word
+        reports += payload.values()
+    assert any(r["damp"] == [] for r in reports) and any(r["tree"] == [] for r in reports)
+    assert {r["success"] for r in reports} == {False, True}
+
+
 @pytest.mark.parametrize("trace", [("burn",), ("check", "--trace")])
 def test_each_burn_report_is_written_before_the_next_k_burns(monkeypatch, trace):
     stream = io.StringIO()

@@ -1,5 +1,6 @@
 """Multigraph construction, neighbor orders, burning, and the tree bijection."""
 
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from shiish import (
     sort_tail,
     tree_to_word,
 )
-from shiish.graphs import _subset_parking
+from shiish.graphs import _burn, _burning_ranks, _subset_parking
 
 
 def _multiplicity(g):
@@ -408,6 +409,15 @@ def test_subset_table_matches_bruteforce():
             parks = _subset_parking(build_rooted(n, k))
             for a in all_words(n):
                 assert parks(a.values) == is_g_parking_bruteforce(g, a), (a, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_branching_burn_matches_the_per_word_burn(n):
+    # the generated burning set equals one `_burn` per word of [n]^n
+    for k in range(2, n + 1):
+        g = build_rooted(n, k)
+        words = itertools.product(range(1, n + 1), repeat=n)
+        assert _burning_ranks(g) == bytearray(len(_burn(g, vals)[0]) == n for vals in words)
 
 
 def test_burn_matches_the_recursive_formulation():

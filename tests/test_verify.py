@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -163,8 +164,8 @@ def test_verify_enumerates_each_arrangement_once_per_run(monkeypatch, capsys):
 
 
 def test_gate_counts_tail_parkers_in_the_cell_pass(monkeypatch):
-    # one tail-parking test per word and k, and the same count table as the
-    # standalone brute-force sweep
+    # one tail-parking test per tail multiset and k, and the same count table
+    # as the standalone sweep
     calls = Counter()
     parks_tail = verify._parks_tail
 
@@ -176,9 +177,27 @@ def test_gate_counts_tail_parkers_in_the_cell_pass(monkeypatch):
         monkeypatch.setattr(module, "_parks_tail", counting)
     report = verify_gate(4)
     cells = [(n, k) for n in range(2, 5) for k in range(2, n + 1)]
-    assert [calls[n, k] for n, k in cells] == [n**n for n, _ in cells]
+    # multisets of n - k + 1 tail entries from [n]
+    assert [calls[n, k] for n, k in cells] == [math.comb(2 * n - k, n - k + 1) for n, k in cells]
     monkeypatch.undo()
     assert report["counts"] == count_sweep(4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tail_orbits_match_the_per_word_kernels(n):
+    # one verdict per head and tail orbit equals the per-word tail test and witness
+    for k in range(2, n + 1):
+        named, tail_parkers = _word_sets(n, k)
+        tails = bytearray(parking._parks_tail(vals, k) for vals in verify._words(n))
+        definition, sigma = bytearray(n**n), bytearray(n**n)
+        for rank, vals in itertools.compress(enumerate(verify._words(n)), tails):
+            images = parking._witness_of(vals, k)
+            if images is not None:
+                definition[rank] = 1
+                sigma[rank] = parking._witness_holds(vals, k, images)
+        assert tail_parkers == tails.count(1)
+        assert named["definition"] == definition
+        assert named["sigma"] == sigma
 
 
 def test_verify_gate_refuses_before_any_work(monkeypatch):
