@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Iterator
 
-from .core import Label, Permutation, _excerpt, check_budget, check_nk
+from .core import Label, Permutation, _check_ints, check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
@@ -39,10 +39,9 @@ class Hyperplane:
     c: int
 
     def __post_init__(self) -> None:
-        if type(self.p) is not int or type(self.q) is not int or not 1 <= self.p < self.q:
-            raise ValueError(f"need 1 <= p < q, got p={self.p}, q={self.q}")
-        if type(self.c) is not int or self.c < 0:
-            raise ValueError(f"offset must be >= 0, got {self.c}")
+        _check_ints("p", (self.p,), 1)
+        _check_ints("q", (self.q,), self.p + 1)
+        _check_ints("offset", (self.c,), 0)
 
     def equation(self) -> str:
         if self.c == 0:
@@ -60,10 +59,8 @@ class ArrangementSpec:
 
     def __post_init__(self) -> None:
         # k may lie outside the family: a list of any other shape carries any k
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"n={_excerpt(self.n)} must be an int >= 1")
-        if type(self.k) is not int:
-            raise ValueError(f"k={_excerpt(self.k)} must be an int")
+        _check_ints("n", (self.n,), 1)
+        _check_ints("k", (self.k,))
         # Each pair (p, q) owns one contiguous slice of positions, equality
         # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
         # t hyperplanes of the slice and BELOW on the rest, so the count t
@@ -163,10 +160,8 @@ class Region:
             raise ValueError("one sign per hyperplane required")
         if len(point) != spec.n:
             raise ValueError("witness point has the wrong dimension")
-        if not all(type(x) is int for x in (*point, scale)):
-            raise ValueError("witness point and scale must be integers")
-        if scale < 1:
-            raise ValueError(f"scale must be >= 1, got {scale}")
+        _check_ints("witness coordinate", point)
+        _check_ints("scale", (scale,), 1)
         for s in self.signs:
             if not isinstance(s, int) or s not in (BELOW, ABOVE):
                 raise ValueError(f"sign {s!r} is neither below (0) nor above (1)")

@@ -2,6 +2,12 @@
 
 All positions and values are 1-based at the interface level.  Words are
 immutable; algorithms that mutate entries work on private copies.
+
+This module owns both integer checks of the package: `_ascii_int` reads a
+number from outside (an option, the environment, a word's entry), and
+`_check_ints` refuses any int a structure holds that is not a plain int in
+its range, for the value types here and for the arrangement, both graphs
+and the sweeps.
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from math import inf
 
 #: Environment variable holding the size budget: the largest n swept exhaustively.
 ENV_MAX_N = "SHIISH_MAX_N"
@@ -41,10 +48,17 @@ def check_budget(n: int, what: str) -> None:
 
 def check_nk(n: int, k: int) -> None:
     """The parameter domain of the family: plain ints n >= 2 and 2 <= k <= n."""
-    if type(n) is not int or n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if type(k) is not int or not 2 <= k <= n:
-        raise ValueError(f"k={_excerpt(k)} outside [2, {_excerpt(n)}]")
+    _check_ints("n", (n,), 2)
+    _check_ints("k", (k,), 2, n)
+
+
+def _check_ints(what: str, values, low: float = -inf, high: float = inf) -> None:
+    """Refuse the first of `values` that is not a plain int (a bool is not one)
+    in [low, high] with a ValueError naming it."""
+    for v in values:
+        if type(v) is not int or v < low or v > high:
+            span = f"[{_excerpt(low)}, {_excerpt(high)}]"
+            raise ValueError(f"{what}={_excerpt(v)} is not an int in {span}")
 
 
 def _ascii_int(text: str, what: str) -> int:
@@ -77,12 +91,9 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-        n = len(self.values)
-        if n == 0:
+        if not self.values:
             raise ValueError("a word needs at least one entry")
-        for v in self.values:
-            if type(v) is not int or not 1 <= v <= n:
-                raise ValueError(f"word entry {_excerpt(v)} outside [1, {n}]")
+        _check_ints("word entry", self.values, 1, len(self.values))
 
     @property
     def n(self) -> int:
@@ -123,7 +134,10 @@ class Word:
         if text.startswith("["):
             # one "[" and no "{", so nesting never reaches json's recursion limit
             nested = text.count("[") != 1 or "{" in text
-            values = None if nested else json.loads(text, parse_int=_json_int)
+            try:
+                values = None if nested else json.loads(text, parse_int=_json_int)
+            except json.JSONDecodeError:
+                values = None
             if not isinstance(values, list) or any(type(v) is not int for v in values):
                 raise ValueError(f"{_excerpt(text)} is not a JSON array of integers")
             return cls(tuple(values))
@@ -150,7 +164,8 @@ class Permutation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
         images, n = self.images, len(self.images)
-        if any(type(v) is not int for v in images) or sorted(images) != list(range(1, n + 1)):
+        _check_ints("permutation image", images, 1, n)
+        if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images!r} is not a bijection on [1, {n}]")
 
     @property
@@ -173,9 +188,7 @@ class Label:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("a label needs at least one entry")
-        for v in self.entries:
-            if type(v) is not int or v < 1:
-                raise ValueError(f"label entry {v!r} is not a positive integer")
+        _check_ints("label entry", self.entries, 1)
 
     @property
     def n(self) -> int:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .arrangement import _planes
-from .core import Word, _excerpt, check_budget
+from .core import Word, _check_ints, check_budget, check_nk
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,16 +30,13 @@ class MultiDiGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(tuple(arc) for arc in self.arcs))
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"n={_excerpt(self.n)} must be an int >= 1")
+        _check_ints("n", (self.n,), 1)
         seen = set()
         for u, v, mult in self.arcs:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"arc ({u}, {v}) outside [1, {self.n}]")
+            _check_ints("arc end", (u, v), 1, self.n)
+            _check_ints("multiplicity", (mult,), 1)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if mult < 1:
-                raise ValueError(f"arc ({u}, {v}) with multiplicity {mult}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate arc entry ({u}, {v})")
             seen.add((u, v))
@@ -71,17 +69,23 @@ class RootedGraph:
     neighbors: tuple[tuple[int, ...], ...]   # index 0..n
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "neighbors", tuple(tuple(lst) for lst in self.neighbors))
-        if len(self.neighbors) != self.n + 1:
+        object.__setattr__(self, "neighbors", tuple(map(tuple, self.neighbors)))
+        n = self.n
+        check_nk(n, self.k)
+        if len(self.neighbors) != n + 1:
             raise ValueError("need one neighbor list per vertex 0..n")
-        if self.neighbors[0] != tuple(range(self.n, 0, -1)):
+        # at most k - 1 parallel arcs, so m <= k - 2 and j <= (k - 1)n
+        top = (self.k - 1) * n
+        _check_ints("encoded entry", chain.from_iterable(self.neighbors), 1, top)
+        if self.neighbors[0] != tuple(range(n, 0, -1)):
             raise ValueError("the root list must be <n, ..., 1>")
         for i, lst in enumerate(self.neighbors):
-            if len(set(lst)) != len(lst):
+            codes = set(lst)
+            if len(codes) != len(lst):
                 raise ValueError(f"repeated encoded entry in list of vertex {i}")
-            for j in lst:
-                if j < 1:
-                    raise ValueError(f"encoded entry {j} in list of vertex {i}")
+            # the codes i, i + n, ... address vertex i itself
+            if i and not codes.isdisjoint(range(i, top + 1, n)):
+                raise ValueError(f"loop at vertex {i}")
 
     def decode(self, j: int) -> int:
         """Vertex addressed by an encoded entry: the representative of j in [1, n]."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Permutation, Word, check_nk, compose
+from .core import Permutation, Word, _check_ints, check_nk, compose
 
 
 def is_parking_function(a: Word) -> bool:
@@ -57,11 +57,10 @@ class CentreResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
+        _check_ints("centre member", self.members, 1)
         for prev, cur in zip(self.members, self.members[1:]):
             if cur >= prev:
                 raise ValueError("centre members must be strictly descending")
-        if self.members and self.members[-1] < 1:
-            raise ValueError("centre members must be positive")
 
     def __contains__(self, i: int) -> bool:
         return i in self.members

@@ -49,7 +49,7 @@ from operator import gt, mul
 from typing import Callable
 
 from .arrangement import _leaves, build_arrangement
-from .core import Word, check_budget, compose
+from .core import Word, _check_ints, check_budget, compose
 from .graphs import _burning_ranks, _subset_parking, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
@@ -343,9 +343,9 @@ def _counts(rows: dict[tuple[int, int], tuple[int, int]]) -> dict:
 
 
 def _check_n_max(n_max: int, what: str) -> None:
-    """The refusals of a sweep over 2 <= n <= n_max: an empty range, or n_max above the budget."""
-    if n_max < 2:
-        raise ValueError(f"--n-max must be >= 2, got n_max={n_max}")
+    """The refusals of a sweep over 2 <= n <= n_max: anything but an int >= 2, or
+    n_max above the budget."""
+    _check_ints("--n-max: n_max", (n_max,), 2)
     check_budget(n_max, what)
 
 

@@ -240,6 +240,14 @@ def test_check_rejects_bad_word(capsys):
         assert "error" in err
 
 
+@pytest.mark.parametrize("word", ["[1,2,]", "[1, 2"])
+def test_malformed_json_word_is_one_short_error_naming_it(capsys, word):
+    code, out, err = run(capsys, "check", word)
+    assert (code, out) == (1, "")
+    assert err == f"error: {word!r} is not a JSON array of integers\n"
+    assert short_error(err)
+
+
 _JSON_INT = r"-?(?:0|[1-9][0-9]*)"
 _JSON_WS = r"[ \t\n\r]*"
 _JSON_INT_ARRAY = re.compile(

@@ -9,20 +9,24 @@ import shiish
 from shiish import (
     ArrangementSpec,
     BudgetError,
+    CentreResult,
     Hyperplane,
     Label,
     MultiDiGraph,
     Permutation,
     Region,
+    RootedGraph,
     Word,
     base_region,
     build_arrangement,
     check_budget,
     check_nk,
     compose,
+    count_sweep,
     count_tail_parkers,
     size_budget,
 )
+from shiish.verify import verify_gate
 
 
 def test_word_validation():
@@ -92,6 +96,18 @@ def test_word_parse_error_echoes_a_short_excerpt(text):
 def test_word_parse_error_echoes_short_input_whole():
     with pytest.raises(ValueError, match=r"^cannot parse a word from 'not a word'$"):
         Word.parse("not a word")
+
+
+@pytest.mark.parametrize("text", ["[1,2,]", "[1, 2", "[1 2]", "[1,2]]"])
+def test_malformed_json_word_names_the_input(text):
+    with pytest.raises(ValueError) as info:
+        Word.parse(text)
+    assert str(info.value) == f"{text!r} is not a JSON array of integers"
+
+
+def test_json_entry_past_the_digit_limit_keeps_its_own_message():
+    with pytest.raises(ValueError, match="has too many ASCII digits"):
+        Word.parse("[" + "9" * 5000 + "]")
 
 
 def test_word_compact_and_json():
@@ -240,6 +256,39 @@ def _bool_point_region():
     ],
 )
 def test_structures_refuse_a_malformed_n_or_point(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+# rooted lists of (2, 2): N(0) = <2, 1>, N(1) = <2>, N(2) = <1>
+ROOTED_2_2 = [(2, 1), (2,), (1,)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: MultiDiGraph(3, ((1, 2, 1.5),)), id="graph-float-multiplicity"),
+        pytest.param(lambda: MultiDiGraph(3, ((True, 2, 1),)), id="graph-bool-arc-end"),
+        pytest.param(lambda: RootedGraph(True, 2, [(1,), ()]), id="rooted-bool-n"),
+        pytest.param(lambda: RootedGraph(2.0, 2, ROOTED_2_2), id="rooted-float-n"),
+        pytest.param(lambda: RootedGraph(2, 99, ROOTED_2_2), id="rooted-k-above-n"),
+        pytest.param(lambda: RootedGraph(2, 2, [(2, 1), (2.0,), (1,)]), id="rooted-float-entry"),
+        pytest.param(lambda: RootedGraph(2, 2, [(2, True), (2,), (1,)]), id="rooted-bool-entry"),
+        pytest.param(lambda: RootedGraph(2, 2, [(2, 1), (1,), (1,)]), id="rooted-loop-entry"),
+        # with k = 2 there are no parallel arcs, so no entry is above n
+        pytest.param(lambda: RootedGraph(2, 2, [(2, 1), (4,), (1,)]), id="rooted-entry-above-k-1-n"),
+        # 4 = 1 + 3 is a second copy of an arc at vertex 1 of a 3-vertex graph
+        pytest.param(
+            lambda: RootedGraph(3, 3, [(3, 2, 1), (4, 3, 2), (1,), (2, 1)]), id="rooted-loop-copy"
+        ),
+        pytest.param(lambda: count_sweep(3.0), id="count-sweep-float"),
+        pytest.param(lambda: count_sweep("3"), id="count-sweep-str"),
+        pytest.param(lambda: verify_gate(3.0), id="verify-gate-float"),
+        pytest.param(lambda: CentreResult((2.5, 1)), id="centre-float-member"),
+        pytest.param(lambda: CentreResult((True,)), id="centre-bool-member"),
+    ],
+)
+def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):
     with pytest.raises(ValueError):
         build()
 

@@ -122,7 +122,7 @@ def decoded(n, ranks):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_fused_sweep_matches_the_per_word_oracles(n):
+def test_word_sets_match_the_per_word_oracles(n):
     # burning, definition, sigma and subsets, set for set, and the tail parkers
     for k in range(2, n + 1):
         named, tail_parkers = _word_sets(n, k)
