@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Iterator
 
-from .core import Label, Permutation, _check_ints, check_budget, check_nk
+from .core import Label, Permutation, _check_ints, _excerpt, check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
@@ -61,6 +61,8 @@ class ArrangementSpec:
         # k may lie outside the family: a list of any other shape carries any k
         _check_ints("n", (self.n,), 1)
         _check_ints("k", (self.k,))
+        # a copy, so the caller's list cannot grow past the side table below
+        object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
         # Each pair (p, q) owns one contiguous slice of positions, equality
         # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
         # t hyperplanes of the slice and BELOW on the rest, so the count t
@@ -70,8 +72,8 @@ class ArrangementSpec:
         pairs = []  # (start, p, q, offsets)
         prev = (0, 0, -1)
         for pos, hp in enumerate(self.hyperplanes):
-            if hp.q > self.n:
-                raise ValueError(f"{hp} uses a coordinate beyond n={self.n}")
+            if not isinstance(hp, Hyperplane) or hp.q > self.n:
+                raise ValueError(f"{_excerpt(hp)} is not a Hyperplane on coordinates 1..n={self.n}")
             if (hp.p, hp.q, hp.c) <= prev:
                 raise ValueError(f"{hp} is not after {prev} in strictly increasing (p, q, c) order")
             if (hp.p, hp.q) == prev[:2]:

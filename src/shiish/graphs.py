@@ -18,7 +18,17 @@ from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .arrangement import _planes
-from .core import Word, _check_ints, check_budget, check_nk
+from .core import Word, _check_ints, _excerpt, check_budget, check_nk
+
+
+def _rows(what: str, rows: Iterable, width: int | None = None) -> tuple[tuple, ...]:
+    """`rows` as tuples.  The first row that is not a sequence, or given
+    `width` not one of `width` entries, is refused as not `what`."""
+    rows = tuple(rows)
+    for row in rows:
+        if not isinstance(row, Sequence) or width not in (None, len(row)):
+            raise ValueError(f"{_excerpt(row)} is not {what}")
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +39,7 @@ class MultiDiGraph:
     arcs: tuple[tuple[int, int, int], ...]   # (source, target, multiplicity)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(tuple(arc) for arc in self.arcs))
+        object.__setattr__(self, "arcs", _rows("an arc (u, v, multiplicity)", self.arcs, 3))
         _check_ints("n", (self.n,), 1)
         seen = set()
         for u, v, mult in self.arcs:
@@ -69,7 +79,7 @@ class RootedGraph:
     neighbors: tuple[tuple[int, ...], ...]   # index 0..n
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "neighbors", tuple(map(tuple, self.neighbors)))
+        object.__setattr__(self, "neighbors", _rows("a neighbor list", self.neighbors))
         n = self.n
         check_nk(n, self.k)
         if len(self.neighbors) != n + 1:
@@ -92,16 +102,18 @@ class RootedGraph:
         return (j - 1) % self.n + 1
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def build_rooted(n: int, k: int) -> RootedGraph:
     """The rooted graph of (n, k), built and validated once per (n, k).
 
     x_p = x_q puts p in N(q) and x_p = x_q + c puts q + (c - 1)n in N(p);
     reading `_planes` backwards sorts each list by target, then copy,
-    descending.
+    descending.  The memo is typed, so 3.0 never finds the graph of 3, and
+    `_planes` refuses a malformed (n, k) before any list is built.
     """
+    planes = _planes(n, k)
     lists: list[list[int]] = [list(range(n, 0, -1))] + [[] for _ in range(n)]
-    for p, q, c in reversed(_planes(n, k)):
+    for p, q, c in reversed(planes):
         if c:
             lists[p].append(q + (c - 1) * n)
         else:

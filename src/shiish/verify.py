@@ -11,21 +11,19 @@ Every sweep runs in this one process and is refused above the size budget
 only what is refused: every n it admits gets every check, so a report's
 content never depends on it.
 
-`verify_gate` runs all of it as one report, enumerating each arrangement
-once.  In each cell every word set is built by its own rule, through the
-private kernels that the public predicates wrap.  The burning set is
-generated run by run by the branching burn `graphs._burning_ranks`, in
-time close to its size; the subset set is one `graphs._subset_parking`
-lookup per word of [n]^n.  The definition and sigma sets and the
-tail-parker count take one verdict per head and tail orbit, the words
-with the same first k - 1 entries and the same multiset of the others:
-`_parks_tail` once per orbit, `_witness_of` and `_witness_holds` once per
-head and orbit, each on the orbit's word with a non-increasing tail.
-Parking the tail counts tail values.  The witness of a word a is
-sigma = pi o tau, where a o pi is that sorted-tail word and tau is read
-off its centre, and both witness conditions read only a's first entry,
-a o sigma = (a o pi) o tau and tau.  So every verdict holds for the whole
-orbit (`_word_sets` gives the argument in full).
+`verify_gate` runs all of it as one report, one cell at a time, enumerating
+each arrangement once; a cell's labels live no longer than its cell.  In
+each cell every word set is built by its own rule, through the private
+kernels that the public predicates wrap, and compared with the labels
+before the next is built.  The burning set is generated run by run by the
+branching burn `graphs._burning_ranks`, in time close to its size; the
+subset set is one `graphs._subset_parking` lookup per word of [n]^n.  The
+definition and sigma sets and the tail-parker count take one verdict per
+head and tail orbit, the words with the same first k - 1 entries and the
+same multiset of the others: `_parks_tail` once per orbit (`_tail_orbits`),
+`_witness_of` and `_witness_holds` once per head and orbit, each on the
+orbit's word with a non-increasing tail (`_witness_sets` says why each
+verdict holds for the whole orbit).
 
 A word of [n]^n is handled by its rank, its index in
 `itertools.product(range(1, n + 1), repeat=n)`, and each characterization
@@ -41,15 +39,13 @@ first differing ranks in sorted order.
 
 from __future__ import annotations
 
-import functools
 from array import array
 from dataclasses import dataclass
 from itertools import compress, islice, product
 from operator import gt, mul
-from typing import Callable
 
 from .arrangement import _leaves, build_arrangement
-from .core import Word, _check_ints, check_budget, compose
+from .core import Word, _check_ints, check_budget, check_nk, compose
 from .graphs import _burning_ranks, _subset_parking, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
@@ -89,8 +85,8 @@ class EquivalenceReport:
 #: [1, n], which have no rank, as tuples.
 _Labels = tuple[int, bytearray, frozenset]
 
-#: (n, k) -> the arrangement's labels; see `_region_labels`.
-_RegionLabels = Callable[[int, int], _Labels]
+#: The arrangements whose labels the worked examples read (`_tables`).
+_EXAMPLES = ((3, 3), (4, 2), (4, 3), (4, 4))
 
 
 def _words(n: int):
@@ -131,13 +127,9 @@ def _tail_orbits(n: int, k: int) -> list[tuple[tuple[int, ...], array]]:
     return [(tail, offsets) for tail, offsets in orbits.items() if _parks_tail(head + tail, k)]
 
 
-def _word_sets(n: int, k: int) -> tuple[dict[str, bytearray], int]:
-    """The four word characterizations of [n]^n by name, and the tail-parker count.
+def _witness_sets(n: int, k: int, orbits: list) -> tuple[bytearray, bytearray]:
+    """The definition and sigma sets of [n]^n, from the parking tail orbits.
 
-    Each set is a bytearray over the ranks, built by its own rule.
-    "burning" holds the words whose burn grows a spanning tree, generated
-    run by run (`_burning_ranks`); "subsets" those that pass the subset
-    definition, one lookup per word; both read the cell's one rooted graph.
     Only the words that park the tail can be k-partial, and parking the
     tail is a property of the tail's orbit (`_tail_orbits`).  "definition"
     holds the words with a witness (`_witness_of`), and "sigma" the ones
@@ -152,29 +144,18 @@ def _word_sets(n: int, k: int) -> tuple[dict[str, bytearray], int]:
     through the positions it sends below k and its values there.  Those
     are tau's, because pi fixes [1, k - 1] and maps [k, n] onto itself.
     """
-    rooted = build_rooted(n, k)
-    orbits = _tail_orbits(n, k)
     block = n ** (n - k + 1)  # the words that share one head
-    definition = bytearray(n**n)
-    sigma = bytearray(n**n)
-    for h, head in enumerate(product(range(1, n + 1), repeat=k - 1)):
-        base = h * block
+    definition, sigma = bytearray(n**n), bytearray(n**n)
+    for base, head in zip(range(0, n**n, block), product(range(1, n + 1), repeat=k - 1)):
         for tail, offsets in orbits:
             vals = head + tail
             images = _witness_of(vals, k)
-            if images is None:
-                continue
-            holds = _witness_holds(vals, k, images)
-            for offset in offsets:
-                definition[base + offset] = 1
-                sigma[base + offset] = holds
-    sets = {
-        "burning": _burning_ranks(rooted),
-        "subsets": bytearray(map(_subset_parking(rooted), _words(n))),
-        "definition": definition,
-        "sigma": sigma,
-    }
-    return sets, _orbit_words(n, k, orbits)
+            if images is not None:
+                holds = _witness_holds(vals, k, images)
+                for offset in offsets:
+                    definition[base + offset] = 1
+                    sigma[base + offset] = holds
+    return definition, sigma
 
 
 def _orbit_words(n: int, k: int, orbits: list) -> int:
@@ -191,50 +172,58 @@ def _sample(n: int, have: bytearray, lack: bytearray, extra=()) -> list[list[int
 
 def cross_validate(n: int, k: int) -> EquivalenceReport:
     """Compare the five characterizations over all of [n]^n; refused above the size budget."""
+    check_nk(n, k)
     check_budget(n, "cross-validation")
     return _cell(n, k, _region_labels(n, k))[0]
 
 
-def _cell(n: int, k: int, labels: _Labels) -> tuple[EquivalenceReport, int]:
-    """`cross_validate` against an arrangement's labels, plus the cell's tail-parker count."""
-    _, reference, unranked = labels
-    named, tail_parkers = _word_sets(n, k)
-    counts = {
-        "labels": reference.count(1) + len(unranked),
-        **{name: s.count(1) for name, s in named.items()},
-    }
+def _cell(n: int, k: int, labels: _Labels) -> tuple[EquivalenceReport, tuple[int, int]]:
+    """`cross_validate` against an arrangement's labels, plus the cell's count
+    row: its leaves and its tail parkers.
 
+    Each characterization is built by its own rule and compared as soon as
+    it is built, so besides the labels at most two word sets are alive at
+    once: definition and sigma, which one orbit loop builds together.
+    """
+    leaves, reference, unranked = labels
+    counts = {"labels": reference.count(1) + len(unranked)}
     mismatches = []
-    for name in CHARACTERIZATIONS[1:]:
-        other = named[name]
-        if other == reference and not unranked:
-            continue
-        mismatches.append(
-            {
-                "characterization": name,
-                "missing_from_labels": _sample(n, other, reference),
-                "missing_from_other": _sample(n, reference, other, unranked),
-            }
-        )
-    expected = (n + 1) ** (n - 1)
-    passed = not mismatches and counts["labels"] == expected
-    return EquivalenceReport(n, k, counts, mismatches, passed), tail_parkers
+
+    def compare(name: str, other: bytearray) -> None:
+        counts[name] = other.count(1)
+        if other != reference or unranked:
+            mismatches.append(
+                {
+                    "characterization": name,
+                    "missing_from_labels": _sample(n, other, reference),
+                    "missing_from_other": _sample(n, reference, other, unranked),
+                }
+            )
+
+    rooted = build_rooted(n, k)
+    compare("burning", _burning_ranks(rooted))
+    compare("subsets", bytearray(map(_subset_parking(rooted), _words(n))))
+    orbits = _tail_orbits(n, k)
+    definition, sigma = _witness_sets(n, k, orbits)
+    compare("definition", definition)
+    compare("sigma", sigma)
+    passed = not mismatches and counts["labels"] == (n + 1) ** (n - 1)
+    return EquivalenceReport(n, k, counts, mismatches, passed), (leaves, _orbit_words(n, k, orbits))
 
 
 def _check(name: str, expected, computed) -> dict:
     return {"name": name, "expected": expected, "computed": computed, "pass": expected == computed}
 
 
-def _tables(labels: _RegionLabels) -> dict:
+def _tables(examples: dict[tuple[int, int], _Labels]) -> dict:
     """Re-derive every worked example as an expected-vs-computed report.
 
-    The label sets come from `labels`.  Mismatches are reported, never
-    raised; the caller decides what a failure means.  The examples
-    enumerate regions up to n = 4.
+    `examples` holds the labels of the `_EXAMPLES` arrangements.  Mismatches
+    are reported, never raised; the caller decides what a failure means.
     """
 
     def label_strings(n: int, k: int) -> set[str]:
-        _, ranks, unranked = labels(n, k)
+        _, ranks, unranked = examples[n, k]
         return {"".join(map(str, e)) for e in (*compress(_words(n), ranks), *unranked)}
 
     checks = []
@@ -359,16 +348,21 @@ def verify_gate(n_max: int) -> dict:
     """The merged report of `shiish verify`: cells, worked examples, count laws.
 
     Every cell with 2 <= k <= n <= n_max, the worked examples (`_tables`)
-    and `count_sweep(n_max)`, with each arrangement enumerated once per call and
-    its label set shared by the three parts.  Nothing is kept between
-    calls.  Refused, before any work, above the size budget or when the
-    budget is below the worked examples' n = 4.
+    and `count_sweep(n_max)`, with each arrangement enumerated once per call.
+    The `_EXAMPLES` labels are enumerated first, for the worked examples,
+    and each is handed on to its own cell; every other cell enumerates its
+    own.  A cell's labels are dropped once its report and count row are
+    made, and nothing is kept between calls.  Refused, before any work,
+    above the size budget or when the budget is below the worked examples'
+    n = 4.
     """
     _check_gate(n_max)
-    labels = functools.cache(_region_labels)
-    tables = _tables(labels)
-    per_cell = {(n, k): _cell(n, k, labels(n, k)) for n, k in _cells(n_max)}
-    cells = [report.to_json() for report, _ in per_cell.values()]
-    counts = _counts({nk: (labels(*nk)[0], tails) for nk, (_, tails) in per_cell.items()})
+    examples = {nk: _region_labels(*nk) for nk in _EXAMPLES}
+    tables = _tables(examples)
+    cells, rows = [], {}
+    for n, k in _cells(n_max):
+        report, rows[n, k] = _cell(n, k, examples.pop((n, k), None) or _region_labels(n, k))
+        cells.append(report.to_json())
+    counts = _counts(rows)
     passed = all(c["pass"] for c in cells) and tables["pass"] and counts["pass"]
     return {"cells": cells, "tables": tables, "counts": counts, "pass": passed}

@@ -24,9 +24,11 @@ from shiish import (
     compose,
     count_sweep,
     count_tail_parkers,
+    enumerate_regions,
     size_budget,
 )
-from shiish.verify import verify_gate
+from shiish.graphs import build_rooted
+from shiish.verify import cross_validate, verify_gate
 
 
 def test_word_validation():
@@ -260,6 +262,11 @@ def test_structures_refuse_a_malformed_n_or_point(build):
         build()
 
 
+def _cold_build_rooted_float():
+    build_rooted.cache_clear()
+    build_rooted(3.0, 2)
+
+
 # rooted lists of (2, 2): N(0) = <2, 1>, N(1) = <2>, N(2) = <1>
 ROOTED_2_2 = [(2, 1), (2,), (1,)]
 
@@ -286,11 +293,42 @@ ROOTED_2_2 = [(2, 1), (2,), (1,)]
         pytest.param(lambda: verify_gate(3.0), id="verify-gate-float"),
         pytest.param(lambda: CentreResult((2.5, 1)), id="centre-float-member"),
         pytest.param(lambda: CentreResult((True,)), id="centre-bool-member"),
+        # the memo must not hand the graph of (3, 2) to an equal float
+        pytest.param(lambda: (build_rooted(3, 2), build_rooted(3.0, 2)), id="rooted-memo-float-n"),
+        pytest.param(lambda: (build_rooted(3, 2), build_rooted(3, 2.0)), id="rooted-memo-float-k"),
+        pytest.param(_cold_build_rooted_float, id="rooted-cold-float-n"),
+        pytest.param(lambda: cross_validate(3.0, 2), id="cross-validate-float-n"),
     ],
 )
 def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        pytest.param(lambda: MultiDiGraph(3, ((1, 2),)), "arc", id="graph-short-arc"),
+        pytest.param(lambda: MultiDiGraph(3, (5,)), "arc", id="graph-int-arc"),
+        pytest.param(
+            lambda: RootedGraph(2, 2, [(2, 1), (2,), 7]), "neighbor list", id="rooted-int-list"
+        ),
+        pytest.param(
+            lambda: ArrangementSpec(2, 2, ((1, 2, 0),)), "not a Hyperplane", id="spec-tuple-entry"
+        ),
+    ],
+)
+def test_containers_refuse_a_malformed_entry_by_name(build, named):
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+def test_arrangement_spec_keeps_its_own_copy_of_the_hyperplanes():
+    hyperplanes = [Hyperplane(1, 2, 0)]
+    spec = ArrangementSpec(2, 2, hyperplanes)
+    hyperplanes.append(Hyperplane(1, 2, 1))
+    assert spec.hyperplanes == (Hyperplane(1, 2, 0),)
+    assert len(enumerate_regions(spec)) == 2
 
 
 def test_every_public_name_resolves():

@@ -1,8 +1,8 @@
 """The cross-validation harness and its reports."""
 
-import functools
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -23,7 +23,8 @@ from shiish import (
     verify,
 )
 from shiish.cli import main
-from shiish.verify import _word_sets, verify_gate
+from shiish.graphs import _burning_ranks, _subset_parking
+from shiish.verify import verify_gate
 
 
 def test_three_way_equivalence_small():
@@ -116,6 +117,21 @@ def test_count_sweep_rejects_empty_range():
             count_sweep(n_max)
 
 
+def word_sets(n, k):
+    """The four word sets of the (n, k) cell by name, each built by its own
+    rule as `verify._cell` builds it, and the cell's tail-parker count."""
+    rooted = build_rooted(n, k)
+    orbits = verify._tail_orbits(n, k)
+    definition, sigma = verify._witness_sets(n, k, orbits)
+    named = {
+        "burning": _burning_ranks(rooted),
+        "subsets": bytearray(map(_subset_parking(rooted), verify._words(n))),
+        "definition": definition,
+        "sigma": sigma,
+    }
+    return named, verify._orbit_words(n, k, orbits)
+
+
 def decoded(n, ranks):
     """The words of [n]^n whose rank byte is set, as a set of tuples."""
     return {w for w, bit in zip(itertools.product(range(1, n + 1), repeat=n), ranks) if bit}
@@ -125,7 +141,7 @@ def decoded(n, ranks):
 def test_word_sets_match_the_per_word_oracles(n):
     # burning, definition, sigma and subsets, set for set, and the tail parkers
     for k in range(2, n + 1):
-        named, tail_parkers = _word_sets(n, k)
+        named, tail_parkers = word_sets(n, k)
         sets = [named[name] for name in ("burning", "definition", "sigma", "subsets")]
         assert all(len(s) == n**n and set(s) <= {0, 1} for s in sets)
         assert (*(decoded(n, s) for s in sets), tail_parkers) == word_sets_by_definition(n, k)
@@ -159,8 +175,54 @@ def test_verify_enumerates_each_arrangement_once_per_run(monkeypatch, capsys):
     capsys.readouterr()
 
     calls.clear()
-    assert verify._tables(functools.cache(verify._region_labels))["pass"]
+    assert verify._tables({nk: verify._region_labels(*nk) for nk in verify._EXAMPLES})["pass"]
     assert calls == Counter([(3, 3), (4, 2), (4, 3), (4, 4)])
+
+
+def test_verify_enumerates_each_arrangement_once_below_the_examples(monkeypatch):
+    # at n_max = 3 the n = 4 examples are enumerated for the tables alone
+    calls = Counter()
+    leaves = verify._leaves
+
+    def counting(spec):
+        calls[(spec.n, spec.k)] += 1
+        return leaves(spec)
+
+    monkeypatch.setattr(verify, "_leaves", counting)
+    assert verify_gate(3)["pass"]
+    assert calls == Counter([(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+
+
+class Marks(bytearray):
+    """A label set's marks that take weak references."""
+
+
+def test_gate_keeps_no_cell_labels_past_their_cell(monkeypatch):
+    # when a cell starts, the only label sets alive are its own and those of
+    # the worked examples whose cells are still to come
+    alive = {}
+    region_labels, cell = verify._region_labels, verify._cell
+
+    def marked(n, k):
+        regions, ranks, unranked = region_labels(n, k)
+        marks = Marks(ranks)
+        alive[n, k] = weakref.ref(marks)
+        return regions, marks, unranked
+
+    order = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
+    seen = []
+
+    def checked(n, k, labels):
+        seen.append((n, k))
+        live = {nk for nk, ref in alive.items() if ref() is not None} - {(n, k)}
+        assert live <= {(3, 3), (4, 2), (4, 3), (4, 4)} - set(order[: len(seen)])
+        return cell(n, k, labels)
+
+    monkeypatch.setattr(verify, "_region_labels", marked)
+    monkeypatch.setattr(verify, "_cell", checked)
+    assert verify_gate(5)["pass"]
+    assert seen == order
+    assert set(alive) == set(order)
 
 
 def test_gate_counts_tail_parkers_in_the_cell_pass(monkeypatch):
@@ -187,7 +249,7 @@ def test_gate_counts_tail_parkers_in_the_cell_pass(monkeypatch):
 def test_tail_orbits_match_the_per_word_kernels(n):
     # one verdict per head and tail orbit equals the per-word tail test and witness
     for k in range(2, n + 1):
-        named, tail_parkers = _word_sets(n, k)
+        named, tail_parkers = word_sets(n, k)
         tails = bytearray(parking._parks_tail(vals, k) for vals in verify._words(n))
         definition, sigma = bytearray(n**n), bytearray(n**n)
         for rank, vals in itertools.compress(enumerate(verify._words(n)), tails):
