@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Iterator
 
-from .core import Label, Permutation, _check_ints, _excerpt, check_budget, check_nk
+from .core import Label, Permutation, _check_ints, _excerpt, _sequence, check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
@@ -62,7 +62,7 @@ class ArrangementSpec:
         _check_ints("n", (self.n,), 1)
         _check_ints("k", (self.k,))
         # a copy, so the caller's list cannot grow past the side table below
-        object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
+        object.__setattr__(self, "hyperplanes", _sequence("hyperplanes", self.hyperplanes))
         # Each pair (p, q) owns one contiguous slice of positions, equality
         # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
         # t hyperplanes of the slice and BELOW on the rest, so the count t
@@ -155,19 +155,15 @@ class Region:
     scale: int = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", tuple(self.signs))
-        object.__setattr__(self, "point", tuple(self.point))
-        spec, point, scale = self.spec, self.point, self.scale
-        if len(self.signs) != len(spec.hyperplanes):
-            raise ValueError("one sign per hyperplane required")
-        if len(point) != spec.n:
-            raise ValueError("witness point has the wrong dimension")
-        _check_ints("witness coordinate", point)
+        spec, scale = self.spec, self.scale
+        object.__setattr__(self, "signs", _sequence("signs", self.signs, len(spec.hyperplanes)))
+        object.__setattr__(self, "point", _sequence("witness point", self.point, spec.n))
+        _check_ints("witness coordinate", self.point)
         _check_ints("scale", (scale,), 1)
         for s in self.signs:
             if not isinstance(s, int) or s not in (BELOW, ABOVE):
                 raise ValueError(f"sign {s!r} is neither below (0) nor above (1)")
-        _certify(spec, self.signs, point, scale)
+        _certify(spec, self.signs, self.point, scale)
 
     def sign_string(self) -> str:
         return _sign_string(self.signs)
@@ -384,7 +380,7 @@ def label_from_description(spec: ArrangementSpec, desc: RegionDescription) -> La
     coordinate j for every window (i, j, a), and add the pair's maximal
     offset to coordinate j for every overflow pair (i, j).
     """
-    images = desc.w.images
+    images = _sequence("description order", desc.w.images, spec.n)
     entries = [0] * spec.n
     for pos, v in enumerate(images, start=1):
         entries[v - 1] = sum(1 for u in images[:pos] if u >= v)
@@ -424,7 +420,7 @@ def draw_diagram(desc: RegionDescription) -> Diagram:
 
 def region_record(region: Region, label: Label) -> dict:
     """JSON-ready record of one region, for file export; its sequences are tuples."""
-    return _record(region.spec, region.signs, label.entries)
+    return _record(region.spec, region.signs, _sequence("label", label.entries, region.spec.n))
 
 
 def _record(spec: ArrangementSpec, signs: tuple[int, ...], label: tuple[int, ...]) -> dict:

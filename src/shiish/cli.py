@@ -51,16 +51,11 @@ def _option_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-@contextlib.contextmanager
 def _opened(path: Optional[str], default=None):
     """`path` opened for writing, else `default`; commands open it after their
     refusals and before their work, so an unwritable path, "" among them,
     fails at once."""
-    if path is None:
-        yield default
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        yield fh
+    return contextlib.nullcontext(default) if path is None else open(path, "w", encoding="utf-8")
 
 
 def _dump_json(payload) -> str:

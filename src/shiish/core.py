@@ -3,17 +3,20 @@
 All positions and values are 1-based at the interface level.  Words are
 immutable; algorithms that mutate entries work on private copies.
 
-This module owns both integer checks of the package: `_ascii_int` reads a
-number from outside (an option, the environment, a word's entry), and
-`_check_ints` refuses any int a structure holds that is not a plain int in
-its range, for the value types here and for the arrangement, both graphs
-and the sweeps.
+This module owns both integer checks of the package and its one sequence
+check: `_ascii_int` reads a number from outside (an option, the
+environment, a word's entry), `_check_ints` refuses any int a structure
+holds that is not a plain int in its range, and `_sequence` refuses any
+container a structure holds that is not a sequence of the right length,
+for the value types here and for the arrangement, both graphs and the
+sweeps.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf
 
@@ -61,6 +64,17 @@ def _check_ints(what: str, values, low: float = -inf, high: float = inf) -> None
             raise ValueError(f"{what}={_excerpt(v)} is not an int in {span}")
 
 
+def _sequence(what: str, value, size: int | None = None) -> tuple:
+    """`tuple(value)` for a Sequence, of `size` items when `size` is given;
+    anything else (a generator or a set among them) is refused with a
+    ValueError naming it."""
+    # tuple and list are named first only for speed: they skip the slower ABC check
+    if not isinstance(value, (tuple, list, Sequence)) or size not in (None, len(value)):
+        length = "" if size is None else f" of length {size}"
+        raise ValueError(f"{what}={_excerpt(value)} is not a sequence{length}")
+    return tuple(value)
+
+
 def _ascii_int(text: str, what: str) -> int:
     """`int(text)` for ASCII digits that int() converts, else a ValueError naming `what`."""
     if not (text.isascii() and text.isdigit()):
@@ -90,7 +104,7 @@ class Word:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _sequence("word", self.values))
         if not self.values:
             raise ValueError("a word needs at least one entry")
         _check_ints("word entry", self.values, 1, len(self.values))
@@ -162,7 +176,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", _sequence("permutation", self.images))
         images, n = self.images, len(self.images)
         _check_ints("permutation image", images, 1, n)
         if sorted(images) != list(range(1, n + 1)):
@@ -185,7 +199,7 @@ class Label:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entries", _sequence("label", self.entries))
         if not self.entries:
             raise ValueError("a label needs at least one entry")
         _check_ints("label entry", self.entries, 1)

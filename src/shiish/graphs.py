@@ -18,17 +18,7 @@ from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .arrangement import _planes
-from .core import Word, _check_ints, _excerpt, check_budget, check_nk
-
-
-def _rows(what: str, rows: Iterable, width: int | None = None) -> tuple[tuple, ...]:
-    """`rows` as tuples.  The first row that is not a sequence, or given
-    `width` not one of `width` entries, is refused as not `what`."""
-    rows = tuple(rows)
-    for row in rows:
-        if not isinstance(row, Sequence) or width not in (None, len(row)):
-            raise ValueError(f"{_excerpt(row)} is not {what}")
-    return tuple(map(tuple, rows))
+from .core import Word, _check_ints, _sequence, check_budget, check_nk
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +29,9 @@ class MultiDiGraph:
     arcs: tuple[tuple[int, int, int], ...]   # (source, target, multiplicity)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", _rows("an arc (u, v, multiplicity)", self.arcs, 3))
         _check_ints("n", (self.n,), 1)
+        arcs = tuple(_sequence("arc", arc, 3) for arc in _sequence("arcs", self.arcs))
+        object.__setattr__(self, "arcs", arcs)
         seen = set()
         for u, v, mult in self.arcs:
             _check_ints("arc end", (u, v), 1, self.n)
@@ -79,11 +70,11 @@ class RootedGraph:
     neighbors: tuple[tuple[int, ...], ...]   # index 0..n
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "neighbors", _rows("a neighbor list", self.neighbors))
         n = self.n
         check_nk(n, self.k)
-        if len(self.neighbors) != n + 1:
-            raise ValueError("need one neighbor list per vertex 0..n")
+        lists = _sequence("neighbor lists", self.neighbors, n + 1)
+        lists = tuple(_sequence("neighbor list", lst) for lst in lists)
+        object.__setattr__(self, "neighbors", lists)
         # at most k - 1 parallel arcs, so m <= k - 2 and j <= (k - 1)n
         top = (self.k - 1) * n
         _check_ints("encoded entry", chain.from_iterable(self.neighbors), 1, top)
@@ -247,7 +238,7 @@ def dfs_burn(g: RootedGraph, a: Word) -> BurnReport:
     return BurnReport(burnt, tuple(tree), tuple(damp), len(tree) == g.n)
 
 
-def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
+def tree_to_word(g: RootedGraph, tree: Sequence[Sequence[int]]) -> Word:
     """The word whose burn grows exactly the given spanning tree: `dfs_burn` inverted.
 
     Start from the all-ones word and burn.  While the grown tree holds an
@@ -256,12 +247,13 @@ def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
     its entry and burn again.  Entries never pass those of the answer, so
     each burn follows the previous one up to its first stray arc; an entry
     rises only while it is at most its vertex's in-degree, so there are at
-    most about as many burns as arcs.  Raises ValueError unless the last
-    burn grew exactly the n given arcs, i.e. unless they are encoded arcs of
-    g forming a spanning tree oriented away from the root.
+    most about as many burns as arcs.  Raises ValueError unless `tree` is a
+    sequence of n pairs and the last burn grew exactly those arcs, i.e.
+    unless they are encoded arcs of g forming a spanning tree oriented away
+    from the root.
     """
     n = g.n
-    arcs = [tuple(arc) for arc in tree]
+    arcs = [_sequence("tree arc", arc, 2) for arc in _sequence("tree", tree, n)]
     given = set(arcs)
     vals = [1] * n
     while True:
@@ -270,7 +262,7 @@ def tree_to_word(g: RootedGraph, tree: Iterable[Sequence[int]]) -> Word:
         if stray is None:
             break
         vals[g.decode(stray[1]) - 1] += 1
-    if not len(arcs) == len(grown) == n:
+    if len(grown) != n:
         raise ValueError(f"{arcs} is not a spanning tree of the rooted graph")
     return Word(tuple(vals))
 

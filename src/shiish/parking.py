@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Permutation, Word, _check_ints, check_nk, compose
+from .core import Permutation, Word, _check_ints, _sequence, check_nk, compose
 
 
 def is_parking_function(a: Word) -> bool:
@@ -56,7 +56,7 @@ class CentreResult:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "members", _sequence("centre members", self.members))
         _check_ints("centre member", self.members, 1)
         for prev, cur in zip(self.members, self.members[1:]):
             if cur >= prev:

@@ -582,7 +582,8 @@ def witness_by_construction(a: Word, k: int) -> Permutation:
 def word_sets_by_definition(n: int, k: int):
     """Burning, definition, sigma and subset sets of [n]^n, one word at a time.
 
-    The oracle that `verify._word_sets` is checked against: validated
+    The oracle that `test_verify.py`'s `word_sets`, built from the kernels
+    `verify._cell` calls, is checked against: validated
     words, the recursive burn, the parking run with the subset-union centre,
     the witness built from permutations and checked against its conditions,
     and the 2**n subset definition.  Last comes the number of words whose

@@ -24,8 +24,12 @@ from shiish import (
     compose,
     count_sweep,
     count_tail_parkers,
+    describe,
     enumerate_regions,
+    label_from_description,
+    region_record,
     size_budget,
+    tree_to_word,
 )
 from shiish.graphs import build_rooted
 from shiish.verify import cross_validate, verify_gate
@@ -315,6 +319,38 @@ def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):
         ),
         pytest.param(
             lambda: ArrangementSpec(2, 2, ((1, 2, 0),)), "not a Hyperplane", id="spec-tuple-entry"
+        ),
+        pytest.param(lambda: MultiDiGraph(3, 5), "arcs", id="graph-int-arcs"),
+        pytest.param(lambda: MultiDiGraph(3, None), "arcs", id="graph-none-arcs"),
+        pytest.param(lambda: RootedGraph(2, 2, 7), "neighbor lists", id="rooted-int-lists"),
+        pytest.param(lambda: ArrangementSpec(2, 2, 5), "hyperplanes", id="spec-int-hyperplanes"),
+        pytest.param(lambda: Word(5), "word", id="word-int"),
+        pytest.param(lambda: Permutation(5), "permutation", id="permutation-int"),
+        pytest.param(lambda: Label(5), "label", id="label-int"),
+        pytest.param(lambda: CentreResult(5), "centre members", id="centre-int"),
+        pytest.param(
+            lambda: Region(build_arrangement(2, 2), 5, (1, 0), 1), "signs", id="region-int-signs"
+        ),
+        pytest.param(lambda: tree_to_word(build_rooted(3, 2), 5), "tree", id="tree-int"),
+        # a description of a (4, 3) region read against a (3, 3) spec, and back
+        pytest.param(
+            lambda: label_from_description(
+                build_arrangement(3, 3), describe(base_region(build_arrangement(4, 3)))
+            ),
+            "order",
+            id="description-longer-than-spec",
+        ),
+        pytest.param(
+            lambda: label_from_description(
+                build_arrangement(4, 3), describe(base_region(build_arrangement(3, 3)))
+            ),
+            "order",
+            id="description-shorter-than-spec",
+        ),
+        pytest.param(
+            lambda: region_record(base_region(build_arrangement(4, 3)), Label((1, 2))),
+            "label",
+            id="record-short-label",
         ),
     ],
 )
