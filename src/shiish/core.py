@@ -66,10 +66,15 @@ def _check_ints(what: str, values, low: float = -inf, high: float = inf) -> None
 
 def _sequence(what: str, value, size: int | None = None) -> tuple:
     """`tuple(value)` for a Sequence, of `size` items when `size` is given;
-    anything else (a generator or a set among them) is refused with a
-    ValueError naming it."""
-    # tuple and list are named first only for speed: they skip the slower ABC check
-    if not isinstance(value, (tuple, list, Sequence)) or size not in (None, len(value)):
+    anything else (a generator, a set or a byte string among them) is
+    refused with a ValueError naming it."""
+    # tuple and list are tested first only for speed: they skip the slower checks.
+    # A byte string is a Sequence of ints, but not one that a structure holds.
+    if (
+        not isinstance(value, (tuple, list))
+        and (not isinstance(value, Sequence) or isinstance(value, (bytes, bytearray, memoryview)))
+        or size not in (None, len(value))
+    ):
         length = "" if size is None else f" of length {size}"
         raise ValueError(f"{what}={_excerpt(value)} is not a sequence{length}")
     return tuple(value)

@@ -220,6 +220,28 @@ def _burning_ranks(g: RootedGraph) -> bytearray:
     return ranks
 
 
+def _subset_ranks(g: RootedGraph) -> bytearray:
+    """The words of [n]^n that pass `_subset_parking`, as marks over their ranks.
+
+    A walk over the entries in rank order, so the union of `_subset_table`
+    rows is taken once per prefix, not once per word: the unions of the
+    prefixes of n - 2 entries are built level by level, in rank order, and
+    each one is met by the n**2 unions of the last two entries, which
+    share every prefix, as one block of ranks.  About n**(n - 2) unions
+    are alive at once, never a whole level of n**(n - 1).
+    """
+    n = g.n
+    good, everything = _subset_table(g)
+    prefixes = [0]
+    for row in good[: n - 2]:
+        prefixes = [c | m for c in prefixes for m in row[1:]]
+    last = [x | y for x in good[n - 2][1:] for y in good[n - 1][1:]]
+    ranks = bytearray()
+    for c in prefixes:
+        ranks += bytes(c | r == everything for r in last)
+    return ranks
+
+
 def dfs_burn(g: RootedGraph, a: Word) -> BurnReport:
     """Depth-first burn from the root over the ordered neighbor lists.
 
@@ -267,8 +289,8 @@ def tree_to_word(g: RootedGraph, tree: Sequence[Sequence[int]]) -> Word:
     return Word(tuple(vals))
 
 
-def _subset_parking(g: RootedGraph) -> Callable[[Sequence[int]], bool]:
-    """Membership by the subset definition, as a table lookup.
+def _subset_table(g: RootedGraph) -> tuple[list[list[int]], int]:
+    """The subset definition as a table: (good, everything).
 
     A word a is a parking function of G when every non-empty I subset of
     [n] holds some i sending at least a[i] - 1 arcs (with multiplicity) out
@@ -277,8 +299,8 @@ def _subset_parking(g: RootedGraph) -> Callable[[Sequence[int]], bool]:
     Subsets I of [n] are bit positions of one integer (bit I for the
     mask I).  good[i-1][v] holds the non-empty I containing i with
     outdeg_I(i) >= v - 1, so a is a parking function of G exactly when the
-    union of good[i-1][a[i]] over all i holds every non-empty I.
-    The table is built once per graph; each word costs n lookups.
+    union of good[i-1][a[i]] over all i is `everything`, the mask of every
+    non-empty I.  Refused above the size budget.
     """
     n = g.n
     check_budget(n, "subset sweep")
@@ -296,7 +318,12 @@ def _subset_parking(g: RootedGraph) -> Callable[[Sequence[int]], bool]:
             for v in range(1, min(outdeg + 1, n) + 1):
                 row[v] |= 1 << mask
         good.append(row)
-    everything = (1 << (1 << n)) - 2
+    return good, (1 << (1 << n)) - 2
+
+
+def _subset_parking(g: RootedGraph) -> Callable[[Sequence[int]], bool]:
+    """Membership by the subset definition, as n lookups in `_subset_table` per word."""
+    good, everything = _subset_table(g)
 
     def parks(values: Sequence[int]) -> bool:
         covered = 0

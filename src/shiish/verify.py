@@ -17,13 +17,15 @@ each cell every word set is built by its own rule, through the private
 kernels that the public predicates wrap, and compared with the labels
 before the next is built.  The burning set is generated run by run by the
 branching burn `graphs._burning_ranks`, in time close to its size; the
-subset set is one `graphs._subset_parking` lookup per word of [n]^n.  The
-definition and sigma sets and the tail-parker count take one verdict per
-head and tail orbit, the words with the same first k - 1 entries and the
-same multiset of the others: `_parks_tail` once per orbit (`_tail_orbits`),
-`_witness_of` and `_witness_holds` once per head and orbit, each on the
-orbit's word with a non-increasing tail (`_witness_sets` says why each
-verdict holds for the whole orbit).
+subset set is a walk over the words in rank order, `graphs._subset_ranks`,
+that takes the union of table rows once per shared prefix.  The
+definition and sigma sets and the tail-parker count share work across
+the words with the same multiset of entries k..n (a tail orbit), each
+verdict taken on the word whose tail is non-increasing: `_parks_tail`
+once per orbit (`_tail_orbits`), the centre scan and `_witness_of` once
+per orbit and head suffix (entries 2..k - 1), and `_witness_holds` once
+per orbit and head in the definition set (`_witness_sets` says why each
+verdict holds for every word it stands for).
 
 A word of [n]^n is handled by its rank, its index in
 `itertools.product(range(1, n + 1), repeat=n)`, and each characterization
@@ -46,7 +48,7 @@ from operator import gt, mul
 
 from .arrangement import _leaves, build_arrangement
 from .core import Word, _check_ints, check_budget, check_nk, compose
-from .graphs import _burning_ranks, _subset_parking, build_rooted, dfs_burn
+from .graphs import _burning_ranks, _subset_ranks, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
     _witness_holds,
@@ -127,34 +129,58 @@ def _tail_orbits(n: int, k: int) -> list[tuple[tuple[int, ...], array]]:
     return [(tail, offsets) for tail, offsets in orbits.items() if _parks_tail(head + tail, k)]
 
 
+def _centre_count(count: int, entries) -> int:
+    """The centre scan of `parking._centre` over `entries`, right to left, from
+    `count` members: the number of members after them."""
+    for v in reversed(entries):
+        if v <= count + 1:
+            count += 1
+    return count
+
+
 def _witness_sets(n: int, k: int, orbits: list) -> tuple[bytearray, bytearray]:
     """The definition and sigma sets of [n]^n, from the parking tail orbits.
 
     Only the words that park the tail can be k-partial, and parking the
     tail is a property of the tail's orbit (`_tail_orbits`).  "definition"
-    holds the words with a witness (`_witness_of`), and "sigma" the ones
-    whose witness passes the explicit condition check (`_witness_holds`).
+    holds the words whose sorted-tail word has 1 in its centre, and
+    "sigma" the ones whose witness (`_witness_of`) passes the explicit
+    condition check (`_witness_holds`).
 
-    Both verdicts are taken once per head and parking tail orbit, on the
-    word w with that head and the sorted tail, and hold for every word a of
-    the orbit.  The witness of a is pi o tau, where a o pi = w for the
-    sort permutation pi, which fixes the head, and tau is read off the
-    centre of w alone, so a o sigma = w o tau for sigma = pi o tau.  The
-    conditions read a only through a o sigma and a[1], and sigma only
-    through the positions it sends below k and its values there.  Those
-    are tau's, because pi fixes [1, k - 1] and maps [k, n] onto itself.
+    Both verdicts hold for every word a of an orbit, so they are taken on
+    the word w with a's head and the sorted tail.  The witness of a is
+    pi o tau, where a o pi = w for the sort permutation pi, which fixes the
+    head, and tau is read off the centre of w alone, so a o sigma = w o tau
+    for sigma = pi o tau.  The conditions read a only through a o sigma and
+    a[1], and sigma only through the positions it sends below k and its
+    values there.  Those are tau's, because pi fixes [1, k - 1] and maps
+    [k, n] onto itself.
+
+    The centre scan runs right to left, so it is shared as well: its count
+    c after the sorted tail is taken once per orbit, and its count d after
+    entries k - 1, ..., 2 once per head suffix and orbit.  Entry 1 is in
+    the centre exactly when a[1] <= d + 1, so definition holds a[1] = 1,
+    ..., min(n, d + 1).  While entry 1 is in the centre, the centre Z does
+    not depend on a[1], which the scan reads last, and neither does tau,
+    which reads only Z and k; so the witness is taken once per suffix and
+    orbit, on a[1] = 1.  Its check still reads a[1], so `_witness_holds`
+    runs on every word with a[1] <= d + 1, and a witness that is None there
+    leaves those words out of sigma alone.
     """
     block = n ** (n - k + 1)  # the words that share one head
+    stride = n ** (n - 1)  # the words that share one first entry
     definition, sigma = bytearray(n**n), bytearray(n**n)
-    for base, head in zip(range(0, n**n, block), product(range(1, n + 1), repeat=k - 1)):
-        for tail, offsets in orbits:
-            vals = head + tail
-            images = _witness_of(vals, k)
-            if images is not None:
-                holds = _witness_holds(vals, k, images)
+    counted = [(tail, offsets, _centre_count(0, tail)) for tail, offsets in orbits]
+    for base, suffix in zip(range(0, stride, block), product(range(1, n + 1), repeat=k - 2)):
+        for tail, offsets, count in counted:
+            rest = (*suffix, *tail)
+            images = _witness_of((1, *rest), k)
+            for a1 in range(1, min(n, _centre_count(count, suffix) + 1) + 1):
+                holds = images is not None and _witness_holds((a1, *rest), k, images)
+                start = base + (a1 - 1) * stride
                 for offset in offsets:
-                    definition[base + offset] = 1
-                    sigma[base + offset] = holds
+                    definition[start + offset] = 1
+                    sigma[start + offset] = holds
     return definition, sigma
 
 
@@ -202,7 +228,7 @@ def _cell(n: int, k: int, labels: _Labels) -> tuple[EquivalenceReport, tuple[int
 
     rooted = build_rooted(n, k)
     compare("burning", _burning_ranks(rooted))
-    compare("subsets", bytearray(map(_subset_parking(rooted), _words(n))))
+    compare("subsets", _subset_ranks(rooted))
     orbits = _tail_orbits(n, k)
     definition, sigma = _witness_sets(n, k, orbits)
     compare("definition", definition)

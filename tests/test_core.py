@@ -325,6 +325,13 @@ def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):
         pytest.param(lambda: RootedGraph(2, 2, 7), "neighbor lists", id="rooted-int-lists"),
         pytest.param(lambda: ArrangementSpec(2, 2, 5), "hyperplanes", id="spec-int-hyperplanes"),
         pytest.param(lambda: Word(5), "word", id="word-int"),
+        # a byte string is a sequence of ints, but never a word or a label
+        pytest.param(lambda: Word(b"\x02\x01"), "word", id="word-bytes"),
+        pytest.param(lambda: Word(bytearray(b"\x02\x01")), "word", id="word-bytearray"),
+        pytest.param(lambda: Word(memoryview(b"\x02\x01")), "word", id="word-memoryview"),
+        pytest.param(lambda: Label(b"\x01"), "label", id="label-bytes"),
+        pytest.param(lambda: Label(bytearray(b"\x01")), "label", id="label-bytearray"),
+        pytest.param(lambda: Permutation(b"\x02\x01"), "permutation", id="permutation-bytes"),
         pytest.param(lambda: Permutation(5), "permutation", id="permutation-int"),
         pytest.param(lambda: Label(5), "label", id="label-int"),
         pytest.param(lambda: CentreResult(5), "centre members", id="centre-int"),

@@ -28,7 +28,7 @@ from shiish import (
     sort_tail,
     tree_to_word,
 )
-from shiish.graphs import _burn, _burning_ranks, _subset_parking
+from shiish.graphs import _burn, _burning_ranks, _subset_parking, _subset_ranks
 
 
 def _multiplicity(g):
@@ -420,6 +420,15 @@ def test_branching_burn_matches_the_per_word_burn(n):
         assert _burning_ranks(g) == bytearray(len(_burn(g, vals)[0]) == n for vals in words)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_subset_walk_matches_the_per_word_lookup(n):
+    # the prefix walk equals one `_subset_parking` lookup per word of [n]^n
+    for k in range(2, n + 1):
+        g = build_rooted(n, k)
+        words = itertools.product(range(1, n + 1), repeat=n)
+        assert _subset_ranks(g) == bytearray(map(_subset_parking(g), words))
+
+
 def test_burn_matches_the_recursive_formulation():
     words = [a for n in range(2, 6) for a in all_words(n)]
     rng = random.Random(20181)
@@ -442,6 +451,8 @@ def test_bruteforce_size_guard():
     big = MultiDiGraph(17, arcs)
     with pytest.raises(BudgetError):
         _subset_parking(build_rooted(17, 2))
+    with pytest.raises(BudgetError):
+        _subset_ranks(build_rooted(17, 2))
     with pytest.raises(BudgetError):
         is_g_parking_bruteforce(big, Word((1,) * 17))
 

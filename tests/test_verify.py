@@ -23,7 +23,7 @@ from shiish import (
     verify,
 )
 from shiish.cli import main
-from shiish.graphs import _burning_ranks, _subset_parking
+from shiish.graphs import _burning_ranks, _subset_ranks
 from shiish.verify import verify_gate
 
 
@@ -125,7 +125,7 @@ def word_sets(n, k):
     definition, sigma = verify._witness_sets(n, k, orbits)
     named = {
         "burning": _burning_ranks(rooted),
-        "subsets": bytearray(map(_subset_parking(rooted), verify._words(n))),
+        "subsets": _subset_ranks(rooted),
         "definition": definition,
         "sigma": sigma,
     }
@@ -154,6 +154,43 @@ def test_sigma_set_goes_through_the_witness_check(monkeypatch):
     assert report.passed is False
     assert [m["characterization"] for m in report.mismatches] == ["sigma"]
     assert report.counts["sigma"] == 0
+
+
+def labels_of(n, k):
+    """The labels of the (n, k) arrangement, as a set of tuples."""
+    return {label.entries for _, label in enumerate_regions(build_arrangement(n, k))}
+
+
+def test_sigma_check_runs_on_every_word_of_the_definition_set(monkeypatch):
+    # the witness is shared across a[1], its check is not: refusing exactly
+    # the words with a[1] = 2 removes exactly those words from sigma
+    n, k = 4, 3
+    labels = labels_of(n, k)
+    holds = parking._witness_holds
+    monkeypatch.setattr(
+        verify, "_witness_holds", lambda vals, k, images: vals[0] != 2 and holds(vals, k, images)
+    )
+    definition, sigma = verify._witness_sets(n, k, verify._tail_orbits(n, k))
+    assert decoded(n, definition) == labels
+    assert decoded(n, sigma) == {a for a in labels if a[0] != 2}
+    report = cross_validate(n, k)
+    second = sorted(a for a in labels if a[0] == 2)
+    assert second and report.counts["sigma"] == len(labels) - len(second)
+    assert [m["characterization"] for m in report.mismatches] == ["sigma"]
+    assert report.mismatches[0]["missing_from_other"] == [list(a) for a in second[:10]]
+
+
+def test_a_missing_witness_empties_sigma_and_leaves_definition(monkeypatch):
+    # definition is read off the centre scan, sigma needs a witness for every word
+    monkeypatch.setattr(verify, "_witness_of", lambda vals, k: None)
+    n = 4
+    for k in range(2, n + 1):
+        definition, sigma = verify._witness_sets(n, k, verify._tail_orbits(n, k))
+        assert decoded(n, definition) == labels_of(n, k)
+        assert sigma.count(1) == 0
+        report = cross_validate(n, k)
+        assert [m["characterization"] for m in report.mismatches] == ["sigma"]
+        assert report.counts["sigma"] == 0
 
 
 def test_verify_enumerates_each_arrangement_once_per_run(monkeypatch, capsys):
@@ -384,7 +421,7 @@ def test_mismatch_samples_are_the_first_ten_sorted_tuples(monkeypatch):
     # no word passes the witness check: sigma misses every label
     monkeypatch.setattr(verify, "_witness_holds", lambda *args: False)
     # every word passes the subset test: subsets holds every non-label
-    monkeypatch.setattr(verify, "_subset_parking", lambda graph: lambda vals: True)
+    monkeypatch.setattr(verify, "_subset_ranks", lambda graph: bytearray(b"\x01" * n**n))
     report = cross_validate(n, k)
     samples = {m["characterization"]: m for m in report.mismatches}
     assert samples["sigma"]["missing_from_other"] == [list(t) for t in sorted(labels)[:10]]
