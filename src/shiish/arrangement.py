@@ -19,29 +19,27 @@ and the verify gate, `Region` those of the list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from math import inf
-from typing import Iterator
 
-from .core import Label, Permutation, _check_ints, _excerpt, _sequence, check_budget, check_nk
+from .core import Label, Permutation, _check_ints, _excerpt, _Frozen, _sequence
+from .core import check_budget, check_nk
 
 BELOW = 0
 ABOVE = 1
 _SIGN_DIGITS = bytes.maketrans(bytes((BELOW, ABOVE)), b"01")
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Frozen):
     """The hyperplane x_p - x_q = c, with plain ints p < q and c >= 0."""
 
-    p: int
-    q: int
-    c: int
+    _fields = _compared = ("p", "q", "c")
 
-    def __post_init__(self) -> None:
-        _check_ints("p", (self.p,), 1)
-        _check_ints("q", (self.q,), self.p + 1)
-        _check_ints("offset", (self.c,), 0)
+    def __init__(self, p: int, q: int, c: int) -> None:
+        _check_ints("p", (p,), 1)
+        _check_ints("q", (q,), p + 1)
+        _check_ints("offset", (c,), 0)
+        self._set(p=p, q=q, c=c)
 
     def equation(self) -> str:
         if self.c == 0:
@@ -49,20 +47,17 @@ class Hyperplane:
         return f"x{self.p} = x{self.q} + {self.c}"
 
 
-@dataclass(frozen=True, eq=False)
-class ArrangementSpec:
+class ArrangementSpec(_Frozen):
     """Parameters (n, k) plus the canonical ordered hyperplane list."""
 
-    n: int
-    k: int
-    hyperplanes: tuple[Hyperplane, ...]
+    _fields = ("n", "k", "hyperplanes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, k: int, hyperplanes: tuple[Hyperplane, ...]) -> None:
         # k may lie outside the family: a list of any other shape carries any k
-        _check_ints("n", (self.n,), 1)
-        _check_ints("k", (self.k,))
+        _check_ints("n", (n,), 1)
+        _check_ints("k", (k,))
         # a copy, so the caller's list cannot grow past the side table below
-        object.__setattr__(self, "hyperplanes", _sequence("hyperplanes", self.hyperplanes))
+        hyperplanes = _sequence("hyperplanes", hyperplanes)
         # Each pair (p, q) owns one contiguous slice of positions, equality
         # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
         # t hyperplanes of the slice and BELOW on the rest, so the count t
@@ -71,9 +66,9 @@ class ArrangementSpec:
         # in window c_t for 1 <= t <= m, and x_p in overflow at t = m + 1.
         pairs = []  # (start, p, q, offsets)
         prev = (0, 0, -1)
-        for pos, hp in enumerate(self.hyperplanes):
-            if not isinstance(hp, Hyperplane) or hp.q > self.n:
-                raise ValueError(f"{_excerpt(hp)} is not a Hyperplane on coordinates 1..n={self.n}")
+        for pos, hp in enumerate(hyperplanes):
+            if not isinstance(hp, Hyperplane) or hp.q > n:
+                raise ValueError(f"{_excerpt(hp)} is not a Hyperplane on coordinates 1..n={n}")
             if (hp.p, hp.q, hp.c) <= prev:
                 raise ValueError(f"{hp} is not after {prev} in strictly increasing (p, q, c) order")
             if (hp.p, hp.q) == prev[:2]:
@@ -87,12 +82,6 @@ class ArrangementSpec:
         for start, p, q, offsets in pairs:
             rows = [(q, None, None)] + [(p, (p, q, c), None) for c in offsets] + [(p, None, (p, q))]
             slices.append((start, start + len(offsets) + 1, tuple(rows)))
-        object.__setattr__(self, "_slices", tuple(slices))
-        object.__setattr__(self, "_max_offset", {(p, q): o[-1] for _, p, q, o in pairs if o})
-        # (p - 1, q - 1, c) per hyperplane, the form `_certify` reads
-        object.__setattr__(
-            self, "_zero_based", tuple((hp.p - 1, hp.q - 1, hp.c) for hp in self.hyperplanes)
-        )
         # The search's side table.  On X = scale*x, x_p - x_q < c is the edge
         # q - 1 -> p - 1 of weight c*scale - 1 (an edge u -> v of weight w
         # reads X_v - X_u <= w), and x_p - x_q > c the edge back of weight
@@ -100,14 +89,23 @@ class ArrangementSpec:
         # the zero-based label coordinate each side raises, None on the base
         # chamber's side.  Off the base chamber, BELOW an equality raises p
         # and ABOVE an offset raises q.
-        scale = self.n + 1
+        scale = n + 1
         sides = tuple(
             (hp.q - 1, hp.p - 1, hp.c * scale - 1, -hp.c * scale - 1)
             + ((None, hp.q - 1) if hp.c else (hp.p - 1, None))
-            for hp in self.hyperplanes
+            for hp in hyperplanes
         )
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_sides", sides)
+        self._set(
+            n=n,
+            k=k,
+            hyperplanes=hyperplanes,
+            _slices=tuple(slices),
+            _max_offset={(p, q): o[-1] for _, p, q, o in pairs if o},
+            # (p - 1, q - 1, c) per hyperplane, the form `_certify` reads
+            _zero_based=tuple((hp.p - 1, hp.q - 1, hp.c) for hp in hyperplanes),
+            _scale=scale,
+            _sides=sides,
+        )
 
     def max_offset(self, i: int, j: int) -> int:
         """Largest positive offset c with x_i - x_j = c in the arrangement, else 0."""
@@ -138,32 +136,32 @@ def build_arrangement(n: int, k: int) -> ArrangementSpec:
     return ArrangementSpec(n, k, tuple(Hyperplane(*t) for t in _planes(n, k)))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Frozen):
     """A chamber, identified by its side of every hyperplane (0 below, 1 above).
 
     An interior point is kept alongside as n integers `point` over a common
     positive integer `scale` (the point is point/scale); construction refuses
     any other number and checks in integers that the point satisfies every
     strict inequality, so a Region certifies its own non-emptiness.
-    Equality and hashing use the sign vector only.
+    Equality, hashing and repr use the sign vector only.
     """
 
-    spec: ArrangementSpec = field(compare=False, repr=False)
-    signs: tuple[int, ...]
-    point: tuple[int, ...] = field(compare=False, repr=False)
-    scale: int = field(compare=False, repr=False)
+    _fields = _compared = ("signs",)
 
-    def __post_init__(self) -> None:
-        spec, scale = self.spec, self.scale
-        object.__setattr__(self, "signs", _sequence("signs", self.signs, len(spec.hyperplanes)))
-        object.__setattr__(self, "point", _sequence("witness point", self.point, spec.n))
-        _check_ints("witness coordinate", self.point)
+    def __init__(
+        self, spec: ArrangementSpec, signs: tuple[int, ...], point: tuple[int, ...], scale: int
+    ) -> None:
+        if not isinstance(spec, ArrangementSpec):
+            raise ValueError(f"spec={_excerpt(spec)} is not an ArrangementSpec")
+        signs = _sequence("signs", signs, len(spec.hyperplanes))
+        point = _sequence("witness point", point, spec.n)
+        _check_ints("witness coordinate", point)
         _check_ints("scale", (scale,), 1)
-        for s in self.signs:
+        for s in signs:
             if not isinstance(s, int) or s not in (BELOW, ABOVE):
                 raise ValueError(f"sign {s!r} is neither below (0) nor above (1)")
-        _certify(spec, self.signs, self.point, scale)
+        _certify(spec, signs, point, scale)
+        self._set(spec=spec, signs=signs, point=point, scale=scale)
 
     def sign_string(self) -> str:
         return _sign_string(self.signs)
@@ -189,8 +187,7 @@ def _certify(spec: ArrangementSpec, signs, point, scale: int) -> None:
     raise ValueError(f"witness violates {hp.equation()} on side {s}")
 
 
-@dataclass(frozen=True, eq=False)
-class RegionDescription:
+class RegionDescription(_Frozen):
     """Coordinate order plus the pairwise difference information of a region.
 
     `windows` holds triples (i, j, a): the difference x_i - x_j sits in the
@@ -199,17 +196,24 @@ class RegionDescription:
     offset hyperplane available for that pair.
     """
 
-    w: Permutation
-    windows: frozenset[tuple[int, int, int]]
-    overflow: frozenset[tuple[int, int]]
+    _fields = ("w", "windows", "overflow")
+
+    def __init__(
+        self,
+        w: Permutation,
+        windows: frozenset[tuple[int, int, int]],
+        overflow: frozenset[tuple[int, int]],
+    ) -> None:
+        self._set(w=w, windows=windows, overflow=overflow)
 
 
-@dataclass(frozen=True, eq=False)
-class Diagram:
+class Diagram(_Frozen):
     """Arc-decorated permutation word: the windows that survive the omission rule."""
 
-    w: Permutation
-    arcs: tuple[tuple[int, int, int], ...]
+    _fields = ("w", "arcs")
+
+    def __init__(self, w: Permutation, arcs: tuple[tuple[int, int, int], ...]) -> None:
+        self._set(w=w, arcs=arcs)
 
 
 def _tighten(dbm: list[list], u: int, v: int, w: int) -> list[list]:

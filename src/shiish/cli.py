@@ -17,7 +17,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .arrangement import _leaves, _read, _record, _sign_string, build_arrangement
 from .core import BudgetError, Label, Word, _ascii_int, _excerpt, check_budget, check_nk
@@ -51,7 +51,7 @@ def _option_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _opened(path: Optional[str], default=None):
+def _opened(path: str | None, default=None):
     """`path` opened for writing, else `default`; commands open it after their
     refusals and before their work, so an unwritable path, "" among them,
     fails at once."""
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

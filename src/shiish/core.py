@@ -3,13 +3,14 @@
 All positions and values are 1-based at the interface level.  Words are
 immutable; algorithms that mutate entries work on private copies.
 
-This module owns both integer checks of the package and its one sequence
-check: `_ascii_int` reads a number from outside (an option, the
-environment, a word's entry), `_check_ints` refuses any int a structure
-holds that is not a plain int in its range, and `_sequence` refuses any
-container a structure holds that is not a sequence of the right length,
-for the value types here and for the arrangement, both graphs and the
-sweeps.
+This module owns both integer checks of the package, its one sequence
+check and its one value-type base: `_ascii_int` reads a number from
+outside (an option, the environment, a word's entry), `_check_ints`
+refuses any int a structure holds that is not a plain int in its range,
+`_sequence` refuses any container a structure holds that is not a
+sequence of the right length, and `_Frozen` makes every value type
+immutable, with one repr, equality and hash, for the value types here and
+for the arrangement, both graphs and the sweeps.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import inf
+from operator import attrgetter
 
 #: Environment variable holding the size budget: the largest n swept exhaustively.
 ENV_MAX_N = "SHIISH_MAX_N"
@@ -102,17 +103,62 @@ def _excerpt(value) -> str:
     return shown if len(shown) <= 40 else shown[:40] + "…"
 
 
-@dataclass(frozen=True)
-class Word:
+class _Frozen:
+    """Base of the value types: immutable, shown and compared as a frozen dataclass.
+
+    Setting or deleting any attribute raises AttributeError, so a
+    subclass's `__init__` sets its checked values with `object.__setattr__`:
+    one call per attribute where an object is built per word, since the
+    loop in `_set` costs about three times as much, else through `_set`.
+    Writing `self.__dict__` instead would give each object a dict of its
+    own, larger and about four times slower to read from than the shared
+    layout.  `repr` shows the attributes named in `_fields`, in order, as
+    `Name(field=value, ...)`.  Equality and the hash read the attributes
+    named in `_compared`, and only between objects of the exact same class;
+    with none named, an object equals only itself.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # one C-level getter per class: a set of words hashes every word it takes
+        cls._key = attrgetter(*cls._compared) if cls._compared else None
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other) -> bool:
+        if self._key and type(other) is type(self):
+            return self._key(self) == self._key(other)
+        return self is other or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self)) if self._key else object.__hash__(self)
+
+
+class Word(_Frozen):
     """An n-tuple whose entries are plain ints in [1, n]."""
 
-    values: tuple[int, ...]
+    _fields = _compared = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _sequence("word", self.values))
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = _sequence("word", values)
+        if not values:
             raise ValueError("a word needs at least one entry")
-        _check_ints("word entry", self.values, 1, len(self.values))
+        _check_ints("word entry", values, 1, len(values))
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -174,26 +220,25 @@ class Word:
         raise ValueError(f"cannot parse a word from {_excerpt(text)}")
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """A bijection on [n] in plain ints; images[i-1] is the image of i."""
 
-    images: tuple[int, ...]
+    _fields = _compared = ("images",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", _sequence("permutation", self.images))
-        images, n = self.images, len(self.images)
+    def __init__(self, images: tuple[int, ...]) -> None:
+        images = _sequence("permutation", images)
+        n = len(images)
         _check_ints("permutation image", images, 1, n)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images!r} is not a bijection on [1, {n}]")
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
         return len(self.images)
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(_Frozen):
     """A vector of positive plain ints attached to a region.
 
     Labels of the arrangements handled here happen to stay within [1, n];
@@ -201,13 +246,14 @@ class Label:
     than assumed by the type.
     """
 
-    entries: tuple[int, ...]
+    _fields = _compared = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _sequence("label", self.entries))
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = _sequence("label", entries)
+        if not entries:
             raise ValueError("a label needs at least one entry")
-        _check_ints("label entry", self.entries, 1)
+        _check_ints("label entry", entries, 1)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:

@@ -12,35 +12,32 @@ word.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Sequence
 
 from .arrangement import _planes
-from .core import Word, _check_ints, _sequence, check_budget, check_nk
+from .core import Word, _check_ints, _Frozen, _sequence, check_budget, check_nk
 
 
-@dataclass(frozen=True, eq=False)
-class MultiDiGraph:
-    """Loopless directed multigraph on [1, n]; arcs carry multiplicities."""
+class MultiDiGraph(_Frozen):
+    """Loopless directed multigraph on [1, n]; arcs are (source, target, multiplicity)."""
 
-    n: int
-    arcs: tuple[tuple[int, int, int], ...]   # (source, target, multiplicity)
+    _fields = ("n", "arcs")
 
-    def __post_init__(self) -> None:
-        _check_ints("n", (self.n,), 1)
-        arcs = tuple(_sequence("arc", arc, 3) for arc in _sequence("arcs", self.arcs))
-        object.__setattr__(self, "arcs", arcs)
+    def __init__(self, n: int, arcs: tuple[tuple[int, int, int], ...]) -> None:
+        _check_ints("n", (n,), 1)
+        arcs = tuple(_sequence("arc", arc, 3) for arc in _sequence("arcs", arcs))
         seen = set()
-        for u, v, mult in self.arcs:
-            _check_ints("arc end", (u, v), 1, self.n)
+        for u, v, mult in arcs:
+            _check_ints("arc end", (u, v), 1, n)
             _check_ints("multiplicity", (mult,), 1)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate arc entry ({u}, {v})")
             seen.add((u, v))
+        self._set(n=n, arcs=arcs)
 
 
 def build_gkn(n: int, k: int) -> MultiDiGraph:
@@ -54,39 +51,36 @@ def build_gkn(n: int, k: int) -> MultiDiGraph:
     return MultiDiGraph(n, tuple((u, v, m) for (u, v), m in sorted(counts.items())))
 
 
-@dataclass(frozen=True, eq=False)
-class RootedGraph:
+class RootedGraph(_Frozen):
     """Root 0 joined to every vertex, arcs reversed, neighbor lists ordered.
 
-    Entry j of a neighbor list addresses the vertex Mod(j, n) in [1, n];
-    parallel arcs to the same vertex are told apart by j = v + m*n with
-    m = 0, 1, ...  N(0) = <n, ..., 1>; every other list is read off
-    `_planes` in reverse, one reversed arc per hyperplane, so each is sorted
-    by target descending, then m descending.
+    `neighbors[i]` is the list N(i) of vertex i, for i = 0..n.  Entry j of
+    a neighbor list addresses the vertex Mod(j, n) in [1, n]; parallel arcs
+    to the same vertex are told apart by j = v + m*n with m = 0, 1, ...
+    N(0) = <n, ..., 1>; every other list is read off `_planes` in reverse,
+    one reversed arc per hyperplane, so each is sorted by target
+    descending, then m descending.
     """
 
-    n: int
-    k: int
-    neighbors: tuple[tuple[int, ...], ...]   # index 0..n
+    _fields = ("n", "k", "neighbors")
 
-    def __post_init__(self) -> None:
-        n = self.n
-        check_nk(n, self.k)
-        lists = _sequence("neighbor lists", self.neighbors, n + 1)
+    def __init__(self, n: int, k: int, neighbors: tuple[tuple[int, ...], ...]) -> None:
+        check_nk(n, k)
+        lists = _sequence("neighbor lists", neighbors, n + 1)
         lists = tuple(_sequence("neighbor list", lst) for lst in lists)
-        object.__setattr__(self, "neighbors", lists)
         # at most k - 1 parallel arcs, so m <= k - 2 and j <= (k - 1)n
-        top = (self.k - 1) * n
-        _check_ints("encoded entry", chain.from_iterable(self.neighbors), 1, top)
-        if self.neighbors[0] != tuple(range(n, 0, -1)):
+        top = (k - 1) * n
+        _check_ints("encoded entry", chain.from_iterable(lists), 1, top)
+        if lists[0] != tuple(range(n, 0, -1)):
             raise ValueError("the root list must be <n, ..., 1>")
-        for i, lst in enumerate(self.neighbors):
+        for i, lst in enumerate(lists):
             codes = set(lst)
             if len(codes) != len(lst):
                 raise ValueError(f"repeated encoded entry in list of vertex {i}")
             # the codes i, i + n, ... address vertex i itself
             if i and not codes.isdisjoint(range(i, top + 1, n)):
                 raise ValueError(f"loop at vertex {i}")
+        self._set(n=n, k=k, neighbors=lists)
 
     def decode(self, j: int) -> int:
         """Vertex addressed by an encoded entry: the representative of j in [1, n]."""
@@ -112,14 +106,26 @@ def build_rooted(n: int, k: int) -> RootedGraph:
     return RootedGraph(n, k, lists)
 
 
-@dataclass(frozen=True, eq=False)
-class BurnReport:
-    """Outcome of one depth-first burn: visit order, tree arcs, dampened arcs."""
+class BurnReport(_Frozen):
+    """Outcome of one depth-first burn: visit order, tree arcs, dampened arcs.
 
-    burnt: tuple[int, ...]                    # starts with the root 0
-    tree: tuple[tuple[int, int], ...]         # encoded arcs, in insertion order
-    dampened: tuple[tuple[int, int], ...]     # encoded arcs, in insertion order
-    success: bool                             # all of {0} u [n] burnt
+    `burnt` starts with the root 0, `tree` and `dampened` hold encoded arcs
+    in insertion order, and `success` says whether all of {0} u [n] burnt.
+    """
+
+    _fields = ("burnt", "tree", "dampened", "success")
+
+    def __init__(
+        self,
+        burnt: tuple[int, ...],
+        tree: tuple[tuple[int, int], ...],
+        dampened: tuple[tuple[int, int], ...],
+        success: bool,
+    ) -> None:
+        object.__setattr__(self, "burnt", burnt)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "dampened", dampened)
+        object.__setattr__(self, "success", success)
 
     def to_json(self) -> dict:
         return {

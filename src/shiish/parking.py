@@ -13,10 +13,10 @@ the sweep in `verify` all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
-from .core import Permutation, Word, _check_ints, _sequence, check_nk, compose
+from .core import Permutation, Word, _check_ints, _Frozen, _sequence, check_nk, compose
 
 
 def is_parking_function(a: Word) -> bool:
@@ -49,18 +49,18 @@ def _parks_tail(vals: Sequence[int], k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CentreResult:
+class CentreResult(_Frozen):
     """The largest descending set i_1 > ... > i_m with a[i_j] <= j."""
 
-    members: tuple[int, ...]
+    _fields = _compared = ("members",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", _sequence("centre members", self.members))
-        _check_ints("centre member", self.members, 1)
-        for prev, cur in zip(self.members, self.members[1:]):
+    def __init__(self, members: tuple[int, ...]) -> None:
+        members = _sequence("centre members", members)
+        _check_ints("centre member", members, 1)
+        for prev, cur in zip(members, members[1:]):
             if cur >= prev:
                 raise ValueError("centre members must be strictly descending")
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, i: int) -> bool:
         return i in self.members
@@ -91,9 +91,8 @@ def is_ish_parking(a: Word) -> bool:
     return 1 in centre(a)
 
 
-class SortedTail(NamedTuple):
-    word: Word
-    pi: Permutation
+#: `sort_tail`'s result: the rearranged word and the permutation that produced it.
+SortedTail = namedtuple("SortedTail", ("word", "pi"))
 
 
 def sort_tail(a: Word, k: int) -> SortedTail:
@@ -117,7 +116,7 @@ def _tail_order(vals: Sequence[int], k: int) -> list[int]:
     return [*range(1, k), *(p + 1 for p in tail)]
 
 
-def _witness_of(vals: Sequence[int], k: int) -> Optional[tuple[int, ...]]:
+def _witness_of(vals: Sequence[int], k: int) -> tuple[int, ...] | None:
     """Images of the witness pi o tau when 1 is in Z, else None.
 
     pi is the `sort_tail` permutation and Z the centre of the sorted-tail
@@ -162,7 +161,7 @@ def _witness_holds(vals: Sequence[int], k: int, images: Sequence[int]) -> bool:
     return True
 
 
-def sigma_characterization(a: Word, k: int) -> Optional[Permutation]:
+def sigma_characterization(a: Word, k: int) -> Permutation | None:
     """The witness permutation pi o tau of `_witness_of`, or None when a is not k-partial.
 
     Raises RuntimeError when the witness fails its conditions.
@@ -182,7 +181,7 @@ def count_tail_parkers(n: int, k: int) -> int:
     return k * n ** (k - 1) * (n + 1) ** (n - k)
 
 
-def classification_report(a: Word, ks: Optional[Sequence[int]] = None) -> dict:
+def classification_report(a: Word, ks: Sequence[int] | None = None) -> dict:
     """JSON-ready classification of one word, for the command-line front end."""
     n = a.n
     if ks is None:

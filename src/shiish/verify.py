@@ -42,12 +42,11 @@ first differing ranks in sorted order.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import compress, islice, product
 from operator import gt, mul
 
 from .arrangement import _leaves, build_arrangement
-from .core import Word, _check_ints, check_budget, check_nk, compose
+from .core import Word, _check_ints, _Frozen, check_budget, check_nk, compose
 from .graphs import _burning_ranks, _subset_ranks, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
@@ -62,15 +61,15 @@ from .parking import (
 CHARACTERIZATIONS = ("labels", "burning", "subsets", "definition", "sigma")
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceReport:
+class EquivalenceReport(_Frozen):
     """Counts and mismatch samples for one (n, k) cell."""
 
-    n: int
-    k: int
-    counts: dict[str, int]
-    mismatches: list[dict]
-    passed: bool
+    _fields = ("n", "k", "counts", "mismatches", "passed")
+
+    def __init__(
+        self, n: int, k: int, counts: dict[str, int], mismatches: list[dict], passed: bool
+    ) -> None:
+        self._set(n=n, k=k, counts=counts, mismatches=mismatches, passed=passed)
 
     def to_json(self) -> dict:
         return {

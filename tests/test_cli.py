@@ -647,3 +647,20 @@ def test_cli_imports_only_the_standard_library_and_no_fractions():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_import_loads_neither_dataclasses_nor_typing():
+    # the value types need neither, and importing them costs more than the package itself
+    src = str(Path(shiish.__file__).parents[1])
+    code = (
+        "import sys, shiish, shiish.cli\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "\n"

@@ -1,6 +1,9 @@
-"""Value types: words, permutations, labels, composition; the public names."""
+"""Value types: words, permutations, labels, composition; the frozen contract; the public names."""
 
+import copy
 import itertools
+import pickle
+import re
 
 import pytest
 from oracles import all_words
@@ -9,22 +12,30 @@ import shiish
 from shiish import (
     ArrangementSpec,
     BudgetError,
+    BurnReport,
     CentreResult,
+    Diagram,
+    EquivalenceReport,
     Hyperplane,
     Label,
     MultiDiGraph,
     Permutation,
     Region,
+    RegionDescription,
     RootedGraph,
     Word,
     base_region,
     build_arrangement,
+    build_gkn,
+    centre,
     check_budget,
     check_nk,
     compose,
     count_sweep,
     count_tail_parkers,
     describe,
+    dfs_burn,
+    draw_diagram,
     enumerate_regions,
     label_from_description,
     region_record,
@@ -338,6 +349,16 @@ def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):
         pytest.param(
             lambda: Region(build_arrangement(2, 2), 5, (1, 0), 1), "signs", id="region-int-signs"
         ),
+        pytest.param(
+            lambda: Region(None, (), (), 1),
+            "spec=None is not an ArrangementSpec",
+            id="region-none-spec",
+        ),
+        pytest.param(
+            lambda: Region("spec", (), (), 1),
+            "spec='spec' is not an ArrangementSpec",
+            id="region-str-spec",
+        ),
         pytest.param(lambda: tree_to_word(build_rooted(3, 2), 5), "tree", id="tree-int"),
         # a description of a (4, 3) region read against a (3, 3) spec, and back
         pytest.param(
@@ -377,3 +398,106 @@ def test_arrangement_spec_keeps_its_own_copy_of_the_hyperplanes():
 def test_every_public_name_resolves():
     assert len(shiish.__all__) == len(set(shiish.__all__))
     assert [name for name in shiish.__all__ if not hasattr(shiish, name)] == []
+
+
+def _some_region() -> Region:
+    """A (3, 3) chamber whose description has a window, an overflow pair and an arc."""
+    return enumerate_regions(build_arrangement(3, 3))[2][0]
+
+
+#: Each value type: its fields in constructor order and one instance of it.
+_VALUE_TYPES = {
+    Word: (("values",), lambda: Word((2, 1, 1))),
+    Permutation: (("images",), lambda: Permutation((2, 3, 1))),
+    Label: (("entries",), lambda: Label((1, 2, 1))),
+    Hyperplane: (("p", "q", "c"), lambda: Hyperplane(1, 3, 2)),
+    ArrangementSpec: (("n", "k", "hyperplanes"), lambda: build_arrangement(3, 3)),
+    Region: (("spec", "signs", "point", "scale"), _some_region),
+    RegionDescription: (("w", "windows", "overflow"), lambda: describe(_some_region())),
+    Diagram: (("w", "arcs"), lambda: draw_diagram(describe(_some_region()))),
+    MultiDiGraph: (("n", "arcs"), lambda: build_gkn(3, 3)),
+    RootedGraph: (("n", "k", "neighbors"), lambda: build_rooted(3, 3)),
+    BurnReport: (
+        ("burnt", "tree", "dampened", "success"),
+        lambda: dfs_burn(build_rooted(3, 2), Word((2, 1, 1))),
+    ),
+    CentreResult: (("members",), lambda: centre(Word((2, 1, 1)))),
+    EquivalenceReport: (
+        ("n", "k", "counts", "mismatches", "passed"),
+        lambda: cross_validate(3, 2),
+    ),
+}
+
+#: The value types equal by value; every other one is equal only to itself.
+_BY_VALUE = (Word, Permutation, Label, Hyperplane, Region, CentreResult)
+
+
+def _contents(obj):
+    """The type and fields of a value type, recursively, so that copies of the
+    types equal only to themselves can be compared; anything else as it is."""
+    if type(obj) not in _VALUE_TYPES:
+        return obj
+    fields, _ = _VALUE_TYPES[type(obj)]
+    return type(obj), tuple(_contents(getattr(obj, name)) for name in fields)
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_TYPES), ids=lambda cls: cls.__name__)
+def test_value_types_are_frozen_copyable_and_compare_as_declared(cls):
+    fields, build = _VALUE_TYPES[cls]
+    obj = build()
+    before = _contents(obj)
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert _contents(obj) == before
+    # by keyword, and across a process boundary or a deep copy
+    copies = [cls(**{name: getattr(obj, name) for name in fields})]
+    copies += [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)]
+    for other in copies:
+        assert _contents(other) == before
+        assert (other == obj) is (cls in _BY_VALUE) is (hash(other) == hash(obj))
+    assert obj == obj and hash(obj) == hash(obj)
+    shown = ("signs",) if cls is Region else fields
+    assert repr(obj) == f"{cls.__name__}({', '.join(f'{f}={getattr(obj, f)!r}' for f in shown)})"
+
+
+def test_value_types_compare_within_their_own_class():
+    assert Word((1,)) != Label((1,)) and Label((1,)) != Word((1,))
+    assert Word((1,)) != (1,)
+    assert Word([2, 1]) == Word((2, 1)) and hash(Word([2, 1])) == hash(Word((2, 1)))
+    # a region is its sign vector: neither the spec object nor the witness counts
+    base = base_region(build_arrangement(3, 2))
+    doubled = tuple(2 * x for x in base.point)
+    other = Region(build_arrangement(3, 2), base.signs, doubled, 2 * base.scale)
+    assert other == base and hash(other) == hash(base)
+    assert repr(other) == repr(base) == f"Region(signs={base.signs!r})"
+    assert other != enumerate_regions(build_arrangement(3, 2))[0][0]
+    assert build_gkn(3, 2) != build_gkn(3, 2)
+
+
+def test_a_copied_arrangement_keeps_its_side_table():
+    spec = build_arrangement(3, 3)
+    regions = enumerate_regions(spec)
+    for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert enumerate_regions(other) == regions
+
+
+@pytest.mark.parametrize(
+    "hyperplanes, message",
+    [
+        (
+            (Hyperplane(1, 2, 0), Hyperplane(1, 2, 0)),
+            "Hyperplane(p=1, q=2, c=0) is not after (1, 2, 0)"
+            " in strictly increasing (p, q, c) order",
+        ),
+        (
+            (Hyperplane(1, 4, 0),),
+            "Hyperplane(p=1, q=4, c=0) is not a Hyperplane on coordinates 1..n=3",
+        ),
+    ],
+)
+def test_spec_refusals_show_the_hyperplane_by_its_fields(hyperplanes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ArrangementSpec(3, 2, hyperplanes)
