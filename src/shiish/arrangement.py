@@ -61,9 +61,10 @@ class ArrangementSpec(_Frozen):
         # Each pair (p, q) owns one contiguous slice of positions, equality
         # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
         # t hyperplanes of the slice and BELOW on the rest, so the count t
-        # alone names the outcome.  Row t of the pair, read by `_read`, is
+        # alone names the outcome.  Row t of the pair, read by `_reader`, is
         # (winner, window or None, overflow or None): x_q wins at t = 0, x_p
         # in window c_t for 1 <= t <= m, and x_p in overflow at t = m + 1.
+        # `_pair_of` maps each position, and one past the last, to its pair.
         pairs = []  # (start, p, q, offsets)
         prev = (0, 0, -1)
         for pos, hp in enumerate(hyperplanes):
@@ -78,10 +79,11 @@ class ArrangementSpec(_Frozen):
             else:
                 pairs.append((pos, hp.p, hp.q, []))
             prev = (hp.p, hp.q, hp.c)
-        slices = []
-        for start, p, q, offsets in pairs:
+        slices, pair_of = [], []
+        for index, (start, p, q, offsets) in enumerate(pairs):
             rows = [(q, None, None)] + [(p, (p, q, c), None) for c in offsets] + [(p, None, (p, q))]
             slices.append((start, start + len(offsets) + 1, tuple(rows)))
+            pair_of += [index] * (len(offsets) + 1)
         # The search's side table.  On X = scale*x, x_p - x_q < c is the edge
         # q - 1 -> p - 1 of weight c*scale - 1 (an edge u -> v of weight w
         # reads X_v - X_u <= w), and x_p - x_q > c the edge back of weight
@@ -100,6 +102,7 @@ class ArrangementSpec(_Frozen):
             k=k,
             hyperplanes=hyperplanes,
             _slices=tuple(slices),
+            _pair_of=(*pair_of, len(slices)),
             _max_offset={(p, q): o[-1] for _, p, q, o in pairs if o},
             # (p - 1, q - 1, c) per hyperplane, the form `_certify` reads
             _zero_based=tuple((hp.p - 1, hp.q - 1, hp.c) for hp in hyperplanes),
@@ -204,6 +207,11 @@ class RegionDescription(_Frozen):
         windows: frozenset[tuple[int, int, int]],
         overflow: frozenset[tuple[int, int]],
     ) -> None:
+        _check_w(w)
+        for what, entries, size in (("windows", windows, 3), ("overflow", overflow, 2)):
+            if not isinstance(entries, frozenset):
+                raise ValueError(f"{what}={_excerpt(entries)} is not a frozenset")
+            _check_entries(what, entries, size, w.n)
         self._set(w=w, windows=windows, overflow=overflow)
 
 
@@ -213,7 +221,25 @@ class Diagram(_Frozen):
     _fields = ("w", "arcs")
 
     def __init__(self, w: Permutation, arcs: tuple[tuple[int, int, int], ...]) -> None:
+        _check_w(w)
+        arcs = _sequence("arcs", arcs)
+        _check_entries("arcs", arcs, 3, w.n)
         self._set(w=w, arcs=arcs)
+
+
+def _check_w(w) -> None:
+    """Refuse a description's order `w` that is not a Permutation."""
+    if not isinstance(w, Permutation):
+        raise ValueError(f"w={_excerpt(w)} is not a Permutation")
+
+
+def _check_entries(what: str, entries, size: int, n: int) -> None:
+    """Refuse an entry of `entries` that is not a sequence of `size` plain ints:
+    two coordinates in [1, n], then an offset of at least 1."""
+    for entry in entries:
+        entry = _sequence(f"entry of {what}", entry, size)
+        _check_ints(f"coordinate in {what}", entry[:2], 1, n)
+        _check_ints(f"offset in {what}", entry[2:], 1)
 
 
 def _tighten(dbm: list[list], u: int, v: int, w: int) -> list[list]:
@@ -256,8 +282,9 @@ def base_region(spec: ArrangementSpec) -> Region:
     return Region(spec, signs, tuple(range(n - 1, -1, -1)), n)
 
 
-def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """(signs, point, label) of every chamber, sorted by sign vector, by depth-first sign search.
+def _search(spec: ArrangementSpec) -> Iterator[tuple]:
+    """(signs, point, label, first) of every chamber, sorted by sign vector, by
+    depth-first sign search.
 
     The search decides the hyperplanes in index order, BELOW before ABOVE.
     A node holds a closed DBM D, its potential low_i = min_j D[j][i], and one
@@ -276,7 +303,11 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     search with L >= 2 leaves runs `_tighten` L - 2 times.  The label,
     all-ones plus one increment per side off the base chamber's, is carried
     down the path.  Edges and increments are read off the spec's side
-    table.  No budget check: callers refuse an oversized n first.
+    table.  `first` is the first position whose sign differs from the
+    previous chamber's, 0 for the first chamber: a popped node's chamber
+    shares every sign before its cut with the chamber just yielded, the last
+    one of the cut's BELOW half.  No budget check: callers refuse an
+    oversized n first.
     """
     n = spec.n
     planes = spec._sides
@@ -288,8 +319,9 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
     stack = [(0, _unconstrained(n), [0] * n, 0, 0, 0, (1,) * n)]
     while stack:
         pos, dbm, low, u, v, w, label = stack.pop()
+        first = pos - 1 if pos else 0
         if pos:
-            signs[pos - 1] = ABOVE
+            signs[first] = ABOVE
         row_v = dbm[v]
         while pos < total:
             a, b, w_below, w_above, bump_below, bump_above = planes[pos]
@@ -323,7 +355,7 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
             pos += 1
         low_u = low[u] + w
         point = tuple([m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)])
-        yield tuple(signs), point, label
+        yield tuple(signs), point, label, first
 
 
 def _bumped(label: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -331,8 +363,8 @@ def _bumped(label: tuple[int, ...], i: int) -> tuple[int, ...]:
     return label[:i] + (label[i] + 1,) + label[i + 1 :]
 
 
-def _leaves(spec: ArrangementSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """`_search`'s (signs, point, label) per chamber, each one certified before it is yielded."""
+def _leaves(spec: ArrangementSpec) -> Iterator[tuple]:
+    """`_search`'s (signs, point, label, first) per chamber, each certified before it is yielded."""
     for leaf in _search(spec):
         _certify(spec, leaf[0], leaf[1], spec._scale)
         yield leaf
@@ -347,28 +379,62 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
     check_budget(spec.n, "region enumeration")
     return [
         (Region(spec, signs, point, spec._scale), Label(label))
-        for signs, point, label in _search(spec)
+        for signs, point, label, _ in _search(spec)
     ]
 
 
-def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
-    """(order, windows, overflow) of a chamber, each pair read off its slice of `signs`.
+def _reader(spec: ArrangementSpec):
+    """(read, outcomes): the one reader of (order, windows, overflow) off a chamber's signs,
+    resumable along `_search`.
 
-    In a chamber the comparisons form a strict total order, so the number of
-    coordinates each one beats is its rank.  Pairs come sorted, with at most
-    one window or overflow entry each, so `windows` and `overflow` are sorted.
+    Each pair's outcome t is the count of ABOVE signs in its slice, and its
+    row t names the winner and the window or overflow entry it adds.  Per
+    pair index i the reader keeps the windows and overflow of the pairs
+    before i, the winner of pair i in `winners` and its t in `outcomes`.
+    `read(signs, first)` re-reads only the pairs from the one holding
+    position `first` on, so `signs` must agree with the chamber read last on
+    every position before `first`: `_search` yields that position, and 0
+    reads every pair.  It returns the first pair it re-read, then the
+    coordinate order and the windows and overflow as sorted tuples.  In a
+    chamber the comparisons form a strict total order, so the number of
+    pairs each coordinate wins is its rank; a list without some pair leaves
+    ties, which keep increasing coordinate order.  Pairs come sorted, with
+    at most one window or overflow entry each, so both tuples are sorted.
     """
-    wins = [0] * (spec.n + 1)
-    windows, overflow = [], []
-    for start, stop, outcomes in spec._slices:
-        winner, window, over = outcomes[signs[start:stop].count(ABOVE)]
-        wins[winner] += 1
-        if window:
-            windows.append(window)
-        elif over:
-            overflow.append(over)
-    order = sorted(range(1, spec.n + 1), key=wins.__getitem__, reverse=True)
-    return tuple(order), tuple(windows), tuple(overflow)
+    slices = spec._slices
+    pair_of = spec._pair_of
+    winners = [0] * len(slices)
+    outcomes = [0] * len(slices)
+    windows_at = [()] * (len(slices) + 1)
+    overflow_at = [()] * (len(slices) + 1)
+    coordinates = range(1, spec.n + 1)
+    orders = {}  # per distinct winners tuple, its coordinate order
+
+    def read(signs: tuple[int, ...], first: int) -> tuple:
+        pair = i = pair_of[first]
+        windows, overflow = windows_at[i], overflow_at[i]
+        for start, stop, rows in slices[i:]:
+            t = outcomes[i] = signs[start:stop].count(ABOVE)
+            winners[i], window, over = rows[t]
+            i += 1
+            if window:
+                windows += (window,)
+            elif over:
+                overflow += (over,)
+            windows_at[i] = windows
+            overflow_at[i] = overflow
+        key = tuple(winners)
+        order = orders.get(key)
+        if order is None:
+            order = orders[key] = tuple(sorted(coordinates, key=winners.count, reverse=True))
+        return pair, order, windows, overflow
+
+    return read, outcomes
+
+
+def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """(order, windows, overflow) of one chamber: `_reader` started at pair 0."""
+    return _reader(spec)[0](signs, 0)[1:]
 
 
 def describe(region: Region) -> RegionDescription:
@@ -405,12 +471,12 @@ def _kept_arcs(order: tuple[int, ...], windows) -> tuple[tuple[int, int, int], .
     """
     if len(windows) < 2:
         return tuple(windows)
-    position = {v: pos for pos, v in enumerate(order)}
-    spans = [(position[i], position[m], a) for i, m, a in windows]
+    index = order.index
+    spans = [(a, index(i), index(m)) for i, m, a in windows]
     kept = []
-    for window, (pj, pp, a) in zip(windows, spans):
-        for pi, pm, am in spans:
-            if am == a and pi <= pj and pp <= pm and (pi, pm) != (pj, pp):
+    for window, (a, pj, pp) in zip(windows, spans):
+        for am, pi, pm in spans:
+            if am == a and pi <= pj and pp <= pm and (pi < pj or pp < pm):
                 break
         else:
             kept.append(window)
@@ -424,17 +490,14 @@ def draw_diagram(desc: RegionDescription) -> Diagram:
 
 def region_record(region: Region, label: Label) -> dict:
     """JSON-ready record of one region, for file export; its sequences are tuples."""
-    return _record(region.spec, region.signs, _sequence("label", label.entries, region.spec.n))
-
-
-def _record(spec: ArrangementSpec, signs: tuple[int, ...], label: tuple[int, ...]) -> dict:
-    """`region_record` of the chamber with these signs and label entries."""
-    order, windows, overflow = _read(spec, signs)
+    spec = region.spec
+    entries = _sequence("label", label.entries, spec.n)
+    order, windows, overflow = _read(spec, region.signs)
     return {
-        "signs": _sign_string(signs),
+        "signs": _sign_string(region.signs),
         "w": order,
         "H": windows,
         "I": overflow,
-        "label": label,
+        "label": entries,
         "diagram": _kept_arcs(order, windows),
     }

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 
-from .arrangement import _leaves, _read, _record, _sign_string, build_arrangement
+from .arrangement import _kept_arcs, _leaves, _reader, _sign_string, build_arrangement
 from .core import BudgetError, Label, Word, _ascii_int, _excerpt, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
@@ -59,6 +58,8 @@ def _opened(path: str | None, default=None):
 
 
 def _dump_json(payload) -> str:
+    import json  # here, not at start-up: regions, burn, graph and verify without --json skip it
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -70,31 +71,68 @@ def _json_ints(values, indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
 
 
-def _regions_json(records: Iterable[dict]) -> Iterator[str]:
-    """`_dump_json(list(records))` in chunks, for `region_record` records: their schema
-    is fixed, so this skips the pure-Python encoder that `indent` selects."""
+class _Formatted(dict):
+    """Each distinct key laid out once, by `layout`, on first lookup."""
 
-    class Formatted(dict):
-        # each distinct row or `w` tuple formatted once per call, at `indent`
-        def __missing__(self, values):
-            text = self[values] = _json_ints(values, self.indent)
-            return text
+    def __init__(self, layout) -> None:
+        self.layout = layout
 
-    row, w = Formatted(), Formatted()
-    row.indent, w.indent = "        ", "      "
+    def __missing__(self, key) -> str:
+        text = self[key] = self.layout(key)
+        return text
 
-    def rows(values) -> str:
-        if not values:
-            return "[]"
-        return "[\n      " + ",\n      ".join(map(row.__getitem__, values)) + "\n    ]"
 
+def _regions_json(spec, leaves: Iterable[tuple]) -> Iterator[str]:
+    """`_dump_json([region_record(...) ...])` in chunks, for `spec`'s `_leaves` in search order:
+    the record schema is fixed, so this skips the pure-Python encoder that `indent` selects.
+
+    The description comes from `_reader`.  Each pair's outcome adds fixed
+    text to the record's signs, H and I: its sign digits and its window or
+    overflow row.  Those texts are kept per pair index, as the reader keeps
+    its windows, and resumed at the pair the reader resumes at.  Each
+    distinct row, diagram and `w` is laid out once per call.
+    """
+    read, outcomes = _reader(spec)
+    row = _Formatted(lambda values: _json_ints(values, "        "))
+    w = _Formatted(lambda order: _json_ints(order, "      "))
+    diagram = _Formatted(lambda arcs: _json_ints([row[arc] for arc in arcs], "      "))
+    # per pair, per outcome t: its sign digits, H row and I row, each row led by ",\n      "
+    fragments = [
+        [
+            (
+                "1" * t + "0" * (stop - start - t),
+                f",\n      {row[window]}" if window else "",
+                f",\n      {row[over]}" if over else "",
+            )
+            for t, (_, window, over) in enumerate(rows)
+        ]
+        for start, stop, rows in spec._slices
+    ]
+    texts_at = [("", "", "")] * (len(fragments) + 1)
+    record = (
+        '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": '
+        + _json_ints(["%d"] * spec.n, "      ")
+        + ',\n    "signs": "%s",\n    "w": %s\n  }'
+    )
     lead = "[\n  "
-    for r in records:
-        fields = (rows(r["H"]), rows(r["I"]), rows(r["diagram"]), _json_ints(r["label"], "      "))
-        yield lead + (
-            '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": %s,'
-            '\n    "signs": "%s",\n    "w": %s\n  }'
-        ) % (*fields, r["signs"], w[r["w"]])
+    for signs, _, label, first in leaves:
+        pair, order, windows, _ = read(signs, first)
+        digits, h_rows, i_rows = texts_at[pair]
+        for fragment, t in zip(fragments[pair:], outcomes[pair:]):
+            more_digits, more_h, more_i = fragment[t]
+            digits += more_digits
+            h_rows += more_h
+            i_rows += more_i
+            pair += 1
+            texts_at[pair] = digits, h_rows, i_rows
+        yield lead + record % (
+            f"[{h_rows[1:]}\n    ]" if h_rows else "[]",
+            f"[{i_rows[1:]}\n    ]" if i_rows else "[]",
+            diagram[_kept_arcs(order, windows)],
+            *label,
+            digits,
+            w[order],
+        )
         lead = ",\n  "
     yield "[]\n" if lead == "[\n  " else "\n]\n"
 
@@ -145,14 +183,15 @@ def cmd_regions(args) -> int:
     spec = build_arrangement(args.n, args.k)
     with _opened(args.out, sys.stdout) as out:
         if args.format == "json":
-            out.writelines(_regions_json(_record(spec, s, label) for s, _, label in _leaves(spec)))
+            out.writelines(_regions_json(spec, _leaves(spec)))
         elif args.format == "csv":
-            out.writelines(",".join(map(str, label)) + "\n" for _, _, label in _leaves(spec))
+            out.writelines(",".join(map(str, label)) + "\n" for _, _, label, _ in _leaves(spec))
         else:  # text
+            read, _ = _reader(spec)
+            w = _Formatted(lambda order: "".join(map(str, order)))
             out.writelines(
-                f"{_sign_string(s)}  w={''.join(map(str, _read(spec, s)[0]))}"
-                f"  label={Label(label)}\n"
-                for s, _, label in _leaves(spec)
+                f"{_sign_string(s)}  w={w[read(s, first)[1]]}  label={Label(label)}\n"
+                for s, _, label, first in _leaves(spec)
             )
     return EXIT_OK
 

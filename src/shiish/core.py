@@ -15,7 +15,6 @@ for the arrangement, both graphs and the sweeps.
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Sequence
 from math import inf
@@ -197,6 +196,8 @@ class Word(_Frozen):
         """
         text = text.strip()
         if text.startswith("["):
+            import json  # here, not at start-up: only a JSON word needs it
+
             # one "[" and no "{", so nesting never reaches json's recursion limit
             nested = text.count("[") != 1 or "{" in text
             try:

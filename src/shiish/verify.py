@@ -102,7 +102,7 @@ def _region_labels(n: int, k: int) -> _Labels:
     ranks = bytearray(n**n)
     unranked = set()
     regions = 0
-    for _, _, label in _leaves(build_arrangement(n, k)):
+    for _, _, label, _ in _leaves(build_arrangement(n, k)):
         regions += 1
         if 1 <= min(label) and max(label) <= n:
             ranks[sum(map(mul, label, weights)) - base] = 1

@@ -21,6 +21,8 @@ from shiish import (
     ArrangementSpec,
     BudgetError,
     Hyperplane,
+    Label,
+    Permutation,
     Word,
     base_region,
     build_arrangement,
@@ -32,7 +34,7 @@ from shiish import (
     region_record,
 )
 from shiish import arrangement
-from shiish.arrangement import ABOVE, BELOW, Region, _leaves, _search
+from shiish.arrangement import ABOVE, BELOW, Region, _leaves, _reader, _search
 
 
 def _by_signs(spec):
@@ -319,7 +321,7 @@ def test_walls_match_bellman_ford_flips(n, k):
 
 def test_arrangement_without_hyperplanes_has_one_region():
     spec = ArrangementSpec(3, 2, ())
-    assert list(_leaves(spec)) == [((), (0, 0, 0), (1, 1, 1))]
+    assert list(_leaves(spec)) == [((), (0, 0, 0), (1, 1, 1), 0)]
     ((region, label),) = enumerate_regions(spec)
     assert (region.signs, region.point, region.scale) == ((), (0, 0, 0), 4)
     assert label.entries == (1, 1, 1)
@@ -334,7 +336,7 @@ _SEARCH_CASES = [build_arrangement(*nk) for nk in _READER_CASES] + [ArrangementS
 @pytest.mark.parametrize("spec", _SEARCH_CASES, ids=lambda s: f"{s.n}-{s.k}-{len(s.hyperplanes)}")
 def test_search_matches_the_per_side_oracle(spec):
     # (signs, point, label) of every leaf, in the same order
-    assert list(_search(spec)) == list(search_by_sides(spec))
+    assert [leaf[:3] for leaf in _search(spec)] == list(search_by_sides(spec))
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
@@ -591,6 +593,61 @@ def test_draw_diagram_matches_the_scan_oracle(spec):
         arcs = draw_diagram(desc).arcs
         assert arcs == draw_diagram_by_scan(spec, desc).arcs, region.signs
         assert region_record(region, label)["diagram"] == arcs
+
+
+# ----------------------------------------------------------- the resume contract
+
+# one pair only, so pairs (1, 3) and (2, 3) are absent and their coordinates tie on winners
+_ABSENT_PAIRS = ArrangementSpec(3, 3, (Hyperplane(1, 2, 0), Hyperplane(1, 2, 1)))
+_RESUME_SPECS = [
+    pytest.param(build_arrangement(n, k), id=f"{n}-{k}")
+    for n in range(2, 7)
+    for k in range(2, n + 1)
+] + [
+    pytest.param(ArrangementSpec(4, 3, _GAPPED), id="4-3-gapped"),
+    pytest.param(ArrangementSpec(3, 2, ()), id="3-2-empty"),
+    pytest.param(_ABSENT_PAIRS, id="3-3-absent-pairs"),
+]
+
+
+@pytest.mark.parametrize("spec", _RESUME_SPECS)
+def test_each_leaf_names_its_first_changed_sign(spec):
+    previous = None
+    for signs, _, _, first in _search(spec):
+        if previous is None:
+            assert first == 0
+        else:
+            changed = [pos for pos, (a, b) in enumerate(zip(previous, signs)) if a != b]
+            assert first == changed[0], signs
+        previous = signs
+
+
+@pytest.mark.parametrize("spec", _RESUME_SPECS)
+def test_resumed_reader_matches_the_pair_scan_oracle(spec):
+    # one reader over the whole search, resumed at each leaf's first changed sign
+    read, outcomes = _reader(spec)
+    regions = enumerate_regions(spec)
+    leaves = list(_search(spec))
+    assert len(leaves) == len(regions)
+    for (region, _), (signs, _, _, first) in zip(regions, leaves):
+        assert region.signs == signs
+        pair, order, windows, overflow = read(signs, first)
+        assert pair == spec._pair_of[first]
+        expected = describe_by_pairs(spec, region)
+        assert order == expected.w.images, signs
+        assert windows == tuple(sorted(expected.windows)), signs
+        assert overflow == tuple(sorted(expected.overflow)), signs
+        assert outcomes == [signs[start:stop].count(ABOVE) for start, stop, _ in spec._slices]
+
+
+def test_absent_pairs_order_by_winners_not_by_the_witness():
+    # x1 < x2 and nothing else: x2 wins the one pair, x1 and x3 tie and keep
+    # their order, although the witness point has x3 above x1
+    (region, _), *_ = enumerate_regions(_ABSENT_PAIRS)
+    assert region.signs == (BELOW, BELOW)
+    assert region.point[2] > region.point[0]
+    assert describe(region).w == Permutation((2, 1, 3))
+    assert region_record(region, Label((1, 1, 1)))["w"] == (2, 1, 3)
 
 
 def test_region_record_shape():

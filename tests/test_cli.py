@@ -12,7 +12,16 @@ from pathlib import Path
 import pytest
 
 import shiish
-from shiish import arrangement, build_arrangement, cli, enumerate_regions, region_record, verify
+from shiish import (
+    ArrangementSpec,
+    Hyperplane,
+    arrangement,
+    build_arrangement,
+    cli,
+    enumerate_regions,
+    region_record,
+    verify,
+)
 from shiish.cli import main
 
 
@@ -38,17 +47,31 @@ def test_regions_json_records(capsys):
     assert set(records[0]) == {"signs", "w", "H", "I", "label", "diagram"}
 
 
-@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
-def test_region_writer_matches_json_dumps(n, k):
-    spec = build_arrangement(n, k)
+def _writes_json_dumps(spec):
     records = [region_record(region, label) for region, label in enumerate_regions(spec)]
     expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    assert "".join(cli._regions_json(records)) == expected
-    assert "".join(cli._regions_json(iter(records))) == expected
+    return "".join(cli._regions_json(spec, arrangement._leaves(spec))) == expected
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
+def test_region_writer_matches_json_dumps(n, k):
+    assert _writes_json_dumps(build_arrangement(n, k))
+
+
+def test_region_writer_matches_json_dumps_off_the_family():
+    # a gap in a pair's offsets, pairs (1, 3) and (2, 3) absent, and no hyperplane at all
+    planes = build_arrangement(4, 3).hyperplanes
+    for spec in (
+        ArrangementSpec(4, 3, tuple(hp for hp in planes if hp != Hyperplane(1, 3, 1))),
+        ArrangementSpec(3, 3, (Hyperplane(1, 2, 0), Hyperplane(1, 2, 1))),
+        ArrangementSpec(3, 2, ()),
+    ):
+        assert _writes_json_dumps(spec), spec
 
 
 def test_region_writer_on_no_records():
-    assert "".join(cli._regions_json([])) == json.dumps([], indent=2, sort_keys=True) + "\n"
+    text = "".join(cli._regions_json(build_arrangement(2, 2), []))
+    assert text == json.dumps([], indent=2, sort_keys=True) + "\n"
 
 
 def test_regions_budget_refusal(capsys, monkeypatch):
@@ -571,8 +594,8 @@ def test_regions_certifies_every_streamed_leaf(capsys, monkeypatch, fmt):
     search = arrangement._search
 
     def corrupt(spec):
-        for index, (signs, point, label) in enumerate(search(spec)):
-            yield signs, point if index < 3 else (0,) * spec.n, label
+        for index, (signs, point, label, first) in enumerate(search(spec)):
+            yield signs, point if index < 3 else (0,) * spec.n, label, first
 
     monkeypatch.setattr(arrangement, "_search", corrupt)
     code, _, err = run(capsys, "regions", "--n", "3", "--k", "3", "--format", fmt)
@@ -650,11 +673,13 @@ def test_cli_imports_only_the_standard_library_and_no_fractions():
 
 
 def test_import_loads_neither_dataclasses_nor_typing():
-    # the value types need neither, and importing them costs more than the package itself
+    # the value types need neither, and importing them costs more than the package
+    # itself; json loads only where a command reads or writes JSON
     src = str(Path(shiish.__file__).parents[1])
     code = (
         "import sys, shiish, shiish.cli\n"
-        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+        "shiish.cli.build_parser()\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'json', 'typing') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -380,6 +380,32 @@ def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):
             "label",
             id="record-short-label",
         ),
+        pytest.param(
+            lambda: RegionDescription((2, 1, 3), frozenset(), frozenset()),
+            "w=",
+            id="description-tuple-order",
+        ),
+        pytest.param(
+            lambda: RegionDescription(Permutation((2, 1, 3)), frozenset({(1, 2)}), frozenset()),
+            "windows",
+            id="description-window-pair",
+        ),
+        pytest.param(
+            lambda: RegionDescription(Permutation((2, 1, 3)), frozenset({(1, 0, 1)}), frozenset()),
+            "coordinate in windows=0",
+            id="description-window-coordinate-zero",
+        ),
+        pytest.param(
+            lambda: RegionDescription(Permutation((2, 1, 3)), frozenset(), {(1, 2)}),
+            "overflow",
+            id="description-overflow-set",
+        ),
+        pytest.param(lambda: Diagram(None, 5), "w=None", id="diagram-none-order"),
+        pytest.param(
+            lambda: Diagram(Permutation((2, 1)), ((1, 2, 0),)),
+            "offset in arcs",
+            id="diagram-arc-offset",
+        ),
     ],
 )
 def test_containers_refuse_a_malformed_entry_by_name(build, named):

@@ -321,8 +321,8 @@ def patch_labels(monkeypatch, change):
     leaves = verify._leaves
 
     def patched(spec):
-        for index, (signs, point, label) in enumerate(leaves(spec)):
-            yield signs, point, change(spec.n, index, label)
+        for index, (signs, point, label, first) in enumerate(leaves(spec)):
+            yield signs, point, change(spec.n, index, label), first
 
     monkeypatch.setattr(verify, "_leaves", patched)
 
@@ -333,7 +333,7 @@ def test_label_entry_outside_one_to_n_is_a_reported_mismatch(monkeypatch, pos, s
     # an entry past n would index past the rank array or wrap onto another
     # word, and an entry 0 would wrap through a negative index
     n = 3
-    labels = [label for _, _, label in verify._leaves(build_arrangement(n, 3))]
+    labels = [label for _, _, label, _ in verify._leaves(build_arrangement(n, 3))]
     original = labels[5]
     entry = original[pos] + n if shift == "above" else 0
     bad = original[:pos] + (entry,) + original[pos + 1 :]
@@ -352,9 +352,9 @@ def test_extra_leaf_with_an_unranked_label_is_a_reported_mismatch(monkeypatch):
     leaves = verify._leaves
 
     def extra(spec):
-        for signs, point, label in leaves(spec):
-            yield signs, point, label
-        yield signs, point, (spec.n + 1,) * spec.n
+        for signs, point, label, first in leaves(spec):
+            yield signs, point, label, first
+        yield signs, point, (spec.n + 1,) * spec.n, first
 
     monkeypatch.setattr(verify, "_leaves", extra)
     report = cross_validate(3, 3)
@@ -400,8 +400,8 @@ def test_gate_certifies_every_leaf(monkeypatch):
     search = arrangement._search
 
     def corrupt(spec):
-        for signs, point, label in search(spec):
-            yield signs, (0,) * spec.n, label
+        for signs, point, label, first in search(spec):
+            yield signs, (0,) * spec.n, label, first
 
     monkeypatch.setattr(arrangement, "_search", corrupt)
     for sweep in (
