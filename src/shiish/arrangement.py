@@ -104,9 +104,8 @@ class ArrangementSpec(_Frozen):
             _slices=tuple(slices),
             _pair_of=(*pair_of, len(slices)),
             _max_offset={(p, q): o[-1] for _, p, q, o in pairs if o},
-            # (p - 1, q - 1, c) per hyperplane, the form `_certify` reads
-            _zero_based=tuple((hp.p - 1, hp.q - 1, hp.c) for hp in hyperplanes),
             _scale=scale,
+            _bounds=_bounds(hyperplanes, scale),
             _sides=sides,
         )
 
@@ -174,19 +173,27 @@ def _sign_string(signs) -> str:
     return bytes(signs).translate(_SIGN_DIGITS).decode()
 
 
+def _bounds(hyperplanes, scale: int) -> tuple[tuple[int, int, int], ...]:
+    """(p - 1, q - 1, c*scale) per hyperplane, the form `_certify` reads."""
+    return tuple((hp.p - 1, hp.q - 1, hp.c * scale) for hp in hyperplanes)
+
+
 def _certify(spec: ArrangementSpec, signs, point, scale: int) -> None:
     """Check in integers that point/scale lies strictly on side `signs[i]` of hyperplane i.
 
     The exact certificate of every chamber the search yields, whichever
-    consumer reads it; raises ValueError at the first violated side.
+    consumer reads it; raises ValueError at the first violated side.  The
+    bounds come from the hyperplanes, not from the side table: built once
+    per spec for the search's scale n + 1, on the call for any other.
     """
-    for s, (i, j, c) in zip(signs, spec._zero_based):
+    bounds = spec._bounds if scale == spec._scale else _bounds(spec.hyperplanes, scale)
+    for s, (i, j, bound) in zip(signs, bounds):
         diff = point[i] - point[j]
-        if diff <= c * scale if s == ABOVE else diff >= c * scale:
+        if diff <= bound if s == ABOVE else diff >= bound:
             break
     else:
         return
-    hp = spec.hyperplanes[spec._zero_based.index((i, j, c))]
+    hp = spec.hyperplanes[bounds.index((i, j, bound))]
     raise ValueError(f"witness violates {hp.equation()} on side {s}")
 
 
@@ -242,21 +249,25 @@ def _check_entries(what: str, entries, size: int, n: int) -> None:
         _check_ints(f"offset in {what}", entry[2:], 1)
 
 
-def _tighten(dbm: list[list], u: int, v: int, w: int) -> list[list]:
-    """The closed DBM `dbm` with the edge u -> v of weight w added.
+def _tighten(dbm: list[list], u: int, v: int, w: int, lo: int = 0) -> list[list]:
+    """The closed DBM `dbm` with the edge u -> v of weight w added, in rows lo and up.
 
     Closed: D[i][j] is the tightest implied bound on X_j - X_i.  The edge
     must be feasible, D[v][u] + w >= 0, since a negative cycle is not
     detected here.  Then D'[i][j] = min(D[i][j], D[i][u] + w + D[v][j])
-    (Mine, PADO 2001); a row with D[i][u] + w >= D[i][v] cannot change and
-    is shared, as rows are never mutated.  With scale n + 1 a cycle of
+    (Mine, PADO 2001), over the full width for each row i >= lo; a row
+    reads only itself and row v, so with v >= lo rows lo and up are exact
+    whenever they were exact in `dbm`.  Rows below lo, and every row with
+    D[i][u] + w >= D[i][v], which cannot change, are the input's own
+    objects, as rows are never mutated.  With scale n + 1 a cycle of
     strict constraints is contradictory exactly when its scaled weight is
     negative (CLRS 24.4).  `_search` calls it once per cut, on an edge it
-    has already found feasible and not implied.
+    has already found feasible and not implied, with lo the cut's p - 1:
+    no later read of the search touches a row below it.
     """
     row_v = dbm[v]
-    out = []
-    for row in dbm:
+    out = dbm[:lo]
+    for row in dbm[lo:]:
         a = row[u] + w
         if a < row[v]:
             row = [x if x <= a + y else a + y for x, y in zip(row, row_v)]
@@ -297,13 +308,19 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple]:
     implied.  Only a hyperplane that cuts the cell closes the pending edge
     into D (`_tighten`), updates low in O(n), pushes the ABOVE half and goes
     on with the BELOW half, each with its own side as the new pending edge.
-    A leaf's point is the potential of its cell, min(low_i, low_u + w +
-    D[v][i]), a witness over scale n + 1 that `_leaves` or `Region`
-    certifies.  The root's cut splits the unconstrained DBM for free, so a
-    search with L >= 2 leaves runs `_tighten` L - 2 times.  The label,
-    all-ones plus one increment per side off the base chamber's, is carried
-    down the path.  Edges and increments are read off the spec's side
-    table.  `first` is the first position whose sign differs from the
+    A cut on pair (p, q) closes only rows p - 1 and up, at full width, and
+    keeps the rows below as they were.  Pairs only advance, so every later
+    read below that cut is of a row at or above p - 1: rows a and b of a
+    later pair, the pending row v, and the rows a later cut closes.  Each
+    of those rows was closed at every earlier cut on its path, so it is
+    exact.  low and the point read only the pending row, so every point is
+    that of the full closure.  A leaf's point is the potential of its cell,
+    min(low_i, low_u + w + D[v][i]), a witness over scale n + 1 that
+    `_leaves` or `Region` certifies.  The root's cut splits the
+    unconstrained DBM for free, so a search with L >= 2 leaves runs
+    `_tighten` L - 2 times.  The label, all-ones plus one increment per
+    side off the base chamber's, is carried down the path.  Edges and
+    increments are read off the spec's side table.  `first` is the first position whose sign differs from the
     previous chamber's, 0 for the first chamber: a popped node's chamber
     shares every sign before its cut with the chamber just yielded, the last
     one of the cut's BELOW half.  No budget check: callers refuse an
@@ -343,7 +360,7 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple]:
                     if u != v:  # the root's self-loop needs no closing
                         low_u = low[u] + w
                         low = [m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)]
-                        dbm = _tighten(dbm, u, v, w)
+                        dbm = _tighten(dbm, u, v, w, b)
                     above = label if bump_above is None else _bumped(label, bump_above)
                     stack.append((pos + 1, dbm, low, b, a, w_above, above))
                     u, v, w = a, b, w_below

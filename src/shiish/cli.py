@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 from .arrangement import _kept_arcs, _leaves, _reader, _sign_string, build_arrangement
-from .core import BudgetError, Label, Word, _ascii_int, _excerpt, check_budget, check_nk
+from .core import BudgetError, Word, _ascii_int, _excerpt, _label_text, check_budget, check_nk
 from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
 from .parking import classification_report
 from .verify import _check_gate, _check_n_max, count_sweep, verify_gate
@@ -190,7 +190,7 @@ def cmd_regions(args) -> int:
             read, _ = _reader(spec)
             w = _Formatted(lambda order: "".join(map(str, order)))
             out.writelines(
-                f"{_sign_string(s)}  w={w[read(s, first)[1]]}  label={Label(label)}\n"
+                f"{_sign_string(s)}  w={w[read(s, first)[1]]}  label={_label_text(label)}\n"
                 for s, _, label, first in _leaves(spec)
             )
     return EXIT_OK

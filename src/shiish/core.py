@@ -261,9 +261,15 @@ class Label(_Frozen):
         return len(self.entries)
 
     def __str__(self) -> str:
-        if self.n <= 9 and max(self.entries) <= 9:
-            return "".join(map(str, self.entries))
-        return ",".join(map(str, self.entries))
+        return _label_text(self.entries)
+
+
+def _label_text(entries: tuple[int, ...]) -> str:
+    """A label's text: its digits when it has at most 9 entries, each at most 9,
+    else its entries joined by commas."""
+    if len(entries) <= 9 and max(entries) <= 9:
+        return "".join(map(str, entries))
+    return ",".join(map(str, entries))
 
 
 def compose(a: Word, w: Permutation) -> Word:

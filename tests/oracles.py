@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 from typing import Iterable, Iterator, Optional
 
@@ -350,6 +351,31 @@ def search_by_sides(spec) -> Iterator[tuple[tuple[int, ...], ...]]:
             yield tuple(signs), tuple(map(min, zip(*dbm))), label
 
 
+def cuts_in_search_order(chambers) -> list[int]:
+    """The positions at which the depth-first sign search cuts a cell in two,
+    in the order it meets them, from the sorted list of chamber sign vectors.
+
+    A cell is a run of chambers sharing every sign before some position; it
+    is cut at the first position where they differ, since both sides hold a
+    chamber.  BELOW before ABOVE, the search meets a cut before the cuts of
+    its BELOW half, and those before the cuts of its ABOVE half.
+    """
+    cuts = []
+
+    def visit(lo: int, hi: int, pos: int) -> None:
+        if hi - lo < 2:
+            return
+        while chambers[lo][pos] == chambers[hi - 1][pos]:
+            pos += 1
+        mid = next(i for i in range(lo, hi) if chambers[i][pos] == ABOVE)
+        cuts.append(pos)
+        visit(lo, mid, pos + 1)
+        visit(mid, hi, pos + 1)
+
+    visit(0, len(chambers), 0)
+    return cuts
+
+
 def enumerate_regions_by_walls(spec) -> list[tuple[Region, Label]]:
     """All chambers with their labels, by wall-crossing search from the base chamber.
 
@@ -427,18 +453,27 @@ def label_direct(spec, region: Region) -> Label:
     return Label(tuple(entries))
 
 
-def describe_by_pairs(spec, region: Region) -> RegionDescription:
-    """The description by a scan over the pairs: each pair's equality sign
-    decides the winner; the winner's first offset hyperplane it is below,
-    in offset order, is its window, and none means overflow."""
+@lru_cache(maxsize=4)
+def _pairs_by_scan(spec) -> tuple:
+    """Per pair (p, q) of `spec`'s hyperplanes, sorted: p, q, the position of
+    its equality and its (offset, position) pairs in offset order.  Built
+    once per spec, which hashes by identity, for the tests that describe
+    each of its regions in turn."""
     index = {(hp.p, hp.q, hp.c): pos for pos, hp in enumerate(spec.hyperplanes)}
     planes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for pos, hp in enumerate(spec.hyperplanes):
         planes.setdefault((hp.p, hp.q), []).append((hp.c, pos))
-    pairs = tuple(
+    return tuple(
         (p, q, index.get((p, q, 0)), tuple(sorted(t for t in found if t[0] >= 1)))
         for (p, q), found in sorted(planes.items())
     )
+
+
+def describe_by_pairs(spec, region: Region) -> RegionDescription:
+    """The description by a scan over the pairs: each pair's equality sign
+    decides the winner; the winner's first offset hyperplane it is below,
+    in offset order, is its window, and none means overflow."""
+    pairs = _pairs_by_scan(spec)
     n = spec.n
     signs = region.signs
     wins = [0] * (n + 1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    cuts_in_search_order,
     describe_by_pairs,
     draw_diagram_by_scan,
     enumerate_regions_by_walls,
@@ -357,13 +358,34 @@ def test_search_closes_only_feasible_unimplied_edges(monkeypatch, n, k):
     tighten = arrangement._tighten
     calls = []
 
-    def checked(dbm, u, v, w):
+    def checked(dbm, u, v, w, lo):
         calls.append((dbm[v][u] + w >= 0, dbm[u][v] > w))
-        return tighten(dbm, u, v, w)
+        return tighten(dbm, u, v, w, lo)
 
     monkeypatch.setattr(arrangement, "_tighten", checked)
     leaves = sum(1 for _ in _search(build_arrangement(n, k)))
     assert calls == [(True, True)] * (leaves - 2)
+
+
+@pytest.mark.parametrize("spec", _SEARCH_CASES, ids=lambda s: f"{s.n}-{s.k}-{len(s.hyperplanes)}")
+def test_search_closes_only_the_rows_it_reads_again(monkeypatch, spec):
+    # a cut on pair (p, q) closes rows p - 1 and up, each at full width, and
+    # hands on the rows below it unchanged; the first cut closes nothing
+    tighten = arrangement._tighten
+    calls = []
+
+    def checked(dbm, u, v, w, lo):
+        out = tighten(dbm, u, v, w, lo)
+        full = tighten(dbm, u, v, w)
+        shared = len(out) == len(dbm) and all(out[i] is dbm[i] for i in range(lo))
+        calls.append((lo, shared, out[lo:] == full[lo:]))
+        return out
+
+    monkeypatch.setattr(arrangement, "_tighten", checked)
+    for _ in _search(spec):
+        pass
+    cuts = cuts_in_search_order([signs for signs, _, _ in search_by_sides(spec)])
+    assert calls == [(spec.hyperplanes[pos].p - 1, True, True) for pos in cuts[1:]]
 
 
 _TABLE_CASES = [build_arrangement(n, k) for n in range(2, 9) for k in range(2, n + 1)] + [
