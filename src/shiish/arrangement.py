@@ -401,17 +401,16 @@ def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
 
 
 def _reader(spec: ArrangementSpec):
-    """(read, outcomes): the one reader of (order, windows, overflow) off a chamber's signs,
+    """`read`: the one reader of (order, windows, overflow) off a chamber's signs,
     resumable along `_search`.
 
     Each pair's outcome t is the count of ABOVE signs in its slice, and its
     row t names the winner and the window or overflow entry it adds.  Per
     pair index i the reader keeps the windows and overflow of the pairs
-    before i, the winner of pair i in `winners` and its t in `outcomes`.
-    `read(signs, first)` re-reads only the pairs from the one holding
-    position `first` on, so `signs` must agree with the chamber read last on
-    every position before `first`: `_search` yields that position, and 0
-    reads every pair.  It returns the first pair it re-read, then the
+    before i and the winner of pair i.  `read(signs, first)` re-reads only
+    the pairs from the one holding position `first` on, so `signs` must
+    agree with the chamber read last on every position before `first`:
+    `_search` yields that position, and 0 reads every pair.  It returns the
     coordinate order and the windows and overflow as sorted tuples.  In a
     chamber the comparisons form a strict total order, so the number of
     pairs each coordinate wins is its rank; a list without some pair leaves
@@ -421,18 +420,16 @@ def _reader(spec: ArrangementSpec):
     slices = spec._slices
     pair_of = spec._pair_of
     winners = [0] * len(slices)
-    outcomes = [0] * len(slices)
     windows_at = [()] * (len(slices) + 1)
     overflow_at = [()] * (len(slices) + 1)
     coordinates = range(1, spec.n + 1)
     orders = {}  # per distinct winners tuple, its coordinate order
 
     def read(signs: tuple[int, ...], first: int) -> tuple:
-        pair = i = pair_of[first]
+        i = pair_of[first]
         windows, overflow = windows_at[i], overflow_at[i]
         for start, stop, rows in slices[i:]:
-            t = outcomes[i] = signs[start:stop].count(ABOVE)
-            winners[i], window, over = rows[t]
+            winners[i], window, over = rows[signs[start:stop].count(ABOVE)]
             i += 1
             if window:
                 windows += (window,)
@@ -444,14 +441,14 @@ def _reader(spec: ArrangementSpec):
         order = orders.get(key)
         if order is None:
             order = orders[key] = tuple(sorted(coordinates, key=winners.count, reverse=True))
-        return pair, order, windows, overflow
+        return order, windows, overflow
 
-    return read, outcomes
+    return read
 
 
 def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     """(order, windows, overflow) of one chamber: `_reader` started at pair 0."""
-    return _reader(spec)[0](signs, 0)[1:]
+    return _reader(spec)(signs, 0)
 
 
 def describe(region: Region) -> RegionDescription:

@@ -86,29 +86,13 @@ def _regions_json(spec, leaves: Iterable[tuple]) -> Iterator[str]:
     """`_dump_json([region_record(...) ...])` in chunks, for `spec`'s `_leaves` in search order:
     the record schema is fixed, so this skips the pure-Python encoder that `indent` selects.
 
-    The description comes from `_reader`.  Each pair's outcome adds fixed
-    text to the record's signs, H and I: its sign digits and its window or
-    overflow row.  Those texts are kept per pair index, as the reader keeps
-    its windows, and resumed at the pair the reader resumes at.  Each
-    distinct row, diagram and `w` is laid out once per call.
+    The description comes from one `_reader`, resumed at each leaf.  Each
+    distinct entry, `H`, `I`, diagram and `w` is laid out once per call.
     """
-    read, outcomes = _reader(spec)
+    read = _reader(spec)
     row = _Formatted(lambda values: _json_ints(values, "        "))
+    rows = _Formatted(lambda entries: _json_ints([row[e] for e in entries], "      "))
     w = _Formatted(lambda order: _json_ints(order, "      "))
-    diagram = _Formatted(lambda arcs: _json_ints([row[arc] for arc in arcs], "      "))
-    # per pair, per outcome t: its sign digits, H row and I row, each row led by ",\n      "
-    fragments = [
-        [
-            (
-                "1" * t + "0" * (stop - start - t),
-                f",\n      {row[window]}" if window else "",
-                f",\n      {row[over]}" if over else "",
-            )
-            for t, (_, window, over) in enumerate(rows)
-        ]
-        for start, stop, rows in spec._slices
-    ]
-    texts_at = [("", "", "")] * (len(fragments) + 1)
     record = (
         '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": '
         + _json_ints(["%d"] * spec.n, "      ")
@@ -116,21 +100,13 @@ def _regions_json(spec, leaves: Iterable[tuple]) -> Iterator[str]:
     )
     lead = "[\n  "
     for signs, _, label, first in leaves:
-        pair, order, windows, _ = read(signs, first)
-        digits, h_rows, i_rows = texts_at[pair]
-        for fragment, t in zip(fragments[pair:], outcomes[pair:]):
-            more_digits, more_h, more_i = fragment[t]
-            digits += more_digits
-            h_rows += more_h
-            i_rows += more_i
-            pair += 1
-            texts_at[pair] = digits, h_rows, i_rows
+        order, windows, overflow = read(signs, first)
         yield lead + record % (
-            f"[{h_rows[1:]}\n    ]" if h_rows else "[]",
-            f"[{i_rows[1:]}\n    ]" if i_rows else "[]",
-            diagram[_kept_arcs(order, windows)],
+            rows[windows],
+            rows[overflow],
+            rows[_kept_arcs(order, windows)],
             *label,
-            digits,
+            _sign_string(signs),
             w[order],
         )
         lead = ",\n  "
@@ -187,10 +163,10 @@ def cmd_regions(args) -> int:
         elif args.format == "csv":
             out.writelines(",".join(map(str, label)) + "\n" for _, _, label, _ in _leaves(spec))
         else:  # text
-            read, _ = _reader(spec)
+            read = _reader(spec)
             w = _Formatted(lambda order: "".join(map(str, order)))
             out.writelines(
-                f"{_sign_string(s)}  w={w[read(s, first)[1]]}  label={_label_text(label)}\n"
+                f"{_sign_string(s)}  w={w[read(s, first)[0]]}  label={_label_text(label)}\n"
                 for s, _, label, first in _leaves(spec)
             )
     return EXIT_OK

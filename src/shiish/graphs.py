@@ -276,12 +276,13 @@ def tree_to_word(g: RootedGraph, tree: Sequence[Sequence[int]]) -> Word:
     each burn follows the previous one up to its first stray arc; an entry
     rises only while it is at most its vertex's in-degree, so there are at
     most about as many burns as arcs.  Raises ValueError unless `tree` is a
-    sequence of n pairs and the last burn grew exactly those arcs, i.e.
-    unless they are encoded arcs of g forming a spanning tree oriented away
-    from the root.
+    sequence of n pairs of plain ints and the last burn grew exactly those
+    arcs, i.e. unless they are encoded arcs of g forming a spanning tree
+    oriented away from the root.
     """
     n = g.n
     arcs = [_sequence("tree arc", arc, 2) for arc in _sequence("tree", tree, n)]
+    _check_ints("tree arc entry", chain.from_iterable(arcs), 0)
     given = set(arcs)
     vals = [1] * n
     while True:

@@ -313,6 +313,15 @@ ROOTED_2_2 = [(2, 1), (2,), (1,)]
         pytest.param(lambda: (build_rooted(3, 2), build_rooted(3, 2.0)), id="rooted-memo-float-k"),
         pytest.param(_cold_build_rooted_float, id="rooted-cold-float-n"),
         pytest.param(lambda: cross_validate(3.0, 2), id="cross-validate-float-n"),
+        # the float or bool copies of a spanning tree's arcs (0, 3), (3, 2), (2, 1)
+        pytest.param(
+            lambda: tree_to_word(build_rooted(3, 2), [(0.0, 3), (3.0, 2), (2.0, 1)]),
+            id="tree-float-entries",
+        ),
+        pytest.param(
+            lambda: tree_to_word(build_rooted(3, 2), [(False, 3), (3, 2), (2, True)]),
+            id="tree-bool-entries",
+        ),
     ],
 )
 def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):

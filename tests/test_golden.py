@@ -41,6 +41,14 @@ GOLDEN = [
         "8fa9a63f9201e97064faffd9e4fa38b1b86d05ebcb5ba7e46240ff288dfa4319",
     ),
     (
+        ["regions", "--n", "6", "--k", "4"],
+        "4d0b1c774f4fccfb94c3b265a8695c858e8dfa75aedf42d170c3a69f700314ca",
+    ),
+    (
+        ["regions", "--n", "6", "--k", "5"],
+        "9780acc42070160c7bd1e32992f051e491426a3352365835b8b8865e2151ee5a",
+    ),
+    (
         ["regions", "--n", "6", "--k", "6"],
         "89b2b288cc88d95df6cd5a980d84d27f7f2e5ce770af16a22f30c93a55eecc73",
     ),
