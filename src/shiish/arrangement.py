@@ -1,6 +1,7 @@
 """Hyperplane families between the Shi and Ish arrangements.
 
-An arrangement is a list of hyperplanes x_p - x_q = c.  A region is a
+An arrangement is a list of hyperplanes x_p - x_q = c; the family's list
+for (n, k) is `core._planes`, which both graphs read too.  A region is a
 feasible total choice of side (strictly below or strictly above) for every
 hyperplane.  Feasibility of the strict system is decided exactly on a
 difference-bound matrix (DBM) over scaled integers; an integer witness
@@ -23,7 +24,7 @@ from collections.abc import Iterator
 from math import inf
 
 from .core import Label, Permutation, _check_ints, _excerpt, _Frozen, _sequence
-from .core import check_budget, check_nk
+from .core import _planes, check_budget
 
 BELOW = 0
 ABOVE = 1
@@ -114,24 +115,8 @@ class ArrangementSpec(_Frozen):
         return self._max_offset.get((i, j), 0)
 
 
-def _planes(n: int, k: int) -> list[tuple[int, int, int]]:
-    """The (n, k) family's hyperplanes x_p = x_q + c as (p, q, c) triples, sorted.
-
-    Every pair p < q has its equality (c = 0); p = 1 adds x_1 = x_q + c for
-    1 <= c < min(q, k), and each k <= p < q adds x_p = x_q + 1.  The one
-    statement of the rule: the arrangement and both graphs read these triples.
-    """
-    check_nk(n, k)
-    return [
-        (p, q, c)
-        for p in range(1, n + 1)
-        for q in range(p + 1, n + 1)
-        for c in range(min(q, k) if p == 1 else 2 if p >= k else 1)
-    ]
-
-
 def build_arrangement(n: int, k: int) -> ArrangementSpec:
-    """Canonical arrangement for (n, k): one hyperplane per `_planes` triple.
+    """Canonical arrangement for (n, k): one hyperplane per `core._planes` triple.
 
     k = 2 is Shi, k = n is Ish.
     """

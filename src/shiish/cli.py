@@ -18,11 +18,8 @@ import contextlib
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 
-from .arrangement import _kept_arcs, _leaves, _reader, _sign_string, build_arrangement
+# Each command imports the rest of the package when it runs, so it loads only what it uses.
 from .core import BudgetError, Word, _ascii_int, _excerpt, _label_text, check_budget, check_nk
-from .graphs import build_gkn, build_rooted, dfs_burn, graph_to_dot, rooted_to_dot
-from .parking import classification_report
-from .verify import _check_gate, _check_n_max, count_sweep, verify_gate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,6 +86,8 @@ def _regions_json(spec, leaves: Iterable[tuple]) -> Iterator[str]:
     The description comes from one `_reader`, resumed at each leaf.  Each
     distinct entry, `H`, `I`, diagram and `w` is laid out once per call.
     """
+    from .arrangement import _kept_arcs, _reader, _sign_string
+
     read = _reader(spec)
     row = _Formatted(lambda values: _json_ints(values, "        "))
     rows = _Formatted(lambda entries: _json_ints([row[e] for e in entries], "      "))
@@ -120,6 +119,8 @@ def _burn_json(word: Word, ks: Sequence[int], indent: str = "") -> Iterator[str]
     The report's schema is fixed, so it is laid out as `_regions_json` lays
     out its records.  Each graph is read once, so it is built past
     `build_rooted`'s memo."""
+    from .graphs import build_rooted, dfs_burn
+
     fields, items, ends = (indent + " " * width for width in (4, 6, 8))
 
     def arcs(values) -> str:
@@ -154,6 +155,8 @@ def _parse_ks(raw: str, n: int) -> list[int]:
 
 
 def cmd_regions(args) -> int:
+    from .arrangement import _leaves, _reader, _sign_string, build_arrangement
+
     check_nk(args.n, args.k)
     check_budget(args.n, "region enumeration")
     spec = build_arrangement(args.n, args.k)
@@ -173,6 +176,8 @@ def cmd_regions(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .parking import classification_report
+
     word = Word.parse(args.word)
     ks = _parse_ks(args.k, word.n)
     _check_cap(word.n, "word classification")
@@ -197,6 +202,8 @@ def cmd_burn(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .graphs import build_gkn, build_rooted, graph_to_dot, rooted_to_dot
+
     check_nk(args.n, args.k)
     _check_cap(args.n, "graph export")
     with _opened(args.out, sys.stdout) as out:
@@ -208,6 +215,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import _check_gate, verify_gate
+
     _check_gate(args.n_max)
     with _opened(args.json) as report:
         merged = verify_gate(args.n_max)
@@ -224,6 +233,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .verify import _check_n_max, count_sweep
+
     _check_n_max(args.n_max, "count sweep")
     with _opened(args.out, sys.stdout) as out:
         sweep = count_sweep(args.n_max)

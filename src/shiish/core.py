@@ -10,7 +10,8 @@ refuses any int a structure holds that is not a plain int in its range,
 `_sequence` refuses any container a structure holds that is not a
 sequence of the right length, and `_Frozen` makes every value type
 immutable, with one repr, equality and hash, for the value types here and
-for the arrangement, both graphs and the sweeps.
+for the arrangement, both graphs and the sweeps.  `_planes` states the
+family's hyperplane rule once, for the arrangement and both graphs.
 """
 
 from __future__ import annotations
@@ -53,6 +54,23 @@ def check_nk(n: int, k: int) -> None:
     """The parameter domain of the family: plain ints n >= 2 and 2 <= k <= n."""
     _check_ints("n", (n,), 2)
     _check_ints("k", (k,), 2, n)
+
+
+def _planes(n: int, k: int) -> list[tuple[int, int, int]]:
+    """The (n, k) family's hyperplanes x_p = x_q + c as (p, q, c) triples, sorted.
+
+    Every pair p < q has its equality (c = 0); p = 1 adds x_1 = x_q + c for
+    1 <= c < min(q, k), and each k <= p < q adds x_p = x_q + 1.  The one
+    statement of the rule: the arrangement and both graphs read these triples,
+    so it lives here and `graphs` need not load `arrangement`.
+    """
+    check_nk(n, k)
+    return [
+        (p, q, c)
+        for p in range(1, n + 1)
+        for q in range(p + 1, n + 1)
+        for c in range(min(q, k) if p == 1 else 2 if p >= k else 1)
+    ]
 
 
 def _check_ints(what: str, values, low: float = -inf, high: float = inf) -> None:

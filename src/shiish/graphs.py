@@ -1,7 +1,8 @@
 """Multidigraphs attached to the interpolating arrangements and the burning run.
 
-For parameters (n, k) both graphs are read off the arrangement's hyperplane
-list (`arrangement._planes`), one arc per hyperplane.  The rooted companion
+For parameters (n, k) both graphs are read off the family's hyperplane list
+(`core._planes`, which `build_arrangement` reads too), one arc per
+hyperplane, so this module never loads the arrangement.  The rooted companion
 adds a vertex 0 joined to everything, reverses all arcs, and fixes a
 deterministic neighbor order; a depth-first burn over that order decides
 membership in the graph's parking-function set and, on success, produces a
@@ -16,8 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
 
-from .arrangement import _planes
-from .core import Word, _check_ints, _Frozen, _sequence, check_budget, check_nk
+from .core import Word, _check_ints, _Frozen, _planes, _sequence, check_budget, check_nk
 
 
 class MultiDiGraph(_Frozen):

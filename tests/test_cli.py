@@ -19,6 +19,8 @@ from shiish import (
     build_arrangement,
     cli,
     enumerate_regions,
+    graphs,
+    parking,
     region_record,
     verify,
 )
@@ -83,7 +85,7 @@ def test_regions_budget_refusal(capsys, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("the arrangement was built before the budget check")
 
-    monkeypatch.setattr(cli, "build_arrangement", must_not_run)
+    monkeypatch.setattr(arrangement, "build_arrangement", must_not_run)
     code, out, err = run(capsys, "regions", "--n", "100000", "--k", "3")
     assert (code, out) == (2, "")
     assert "refused" in err
@@ -370,8 +372,8 @@ def test_graph_refuses_an_n_above_its_cap_before_building(capsys, monkeypatch, t
         raise AssertionError("the graph was built before the cap check")
 
     monkeypatch.setenv("SHIISH_MAX_N", "1000")  # the cap does not follow the budget
-    monkeypatch.setattr(cli, "build_gkn", must_not_run)
-    monkeypatch.setattr(cli, "build_rooted", must_not_run)
+    monkeypatch.setattr(graphs, "build_gkn", must_not_run)
+    monkeypatch.setattr(graphs, "build_rooted", must_not_run)
     target = tmp_path / "g.dot"
     for n in (str(cli.POLY_MAX_N + 1), "100000"):
         code, out, err = run(capsys, "graph", "--n", n, "--k", "3", *rooted, "--out", str(target))
@@ -388,8 +390,8 @@ def test_check_and_burn_refuse_a_word_above_the_cap_before_any_work(capsys, monk
         raise AssertionError("work started before the cap check")
 
     monkeypatch.setenv("SHIISH_MAX_N", "1000")  # the cap does not follow the budget
-    monkeypatch.setattr(cli, "classification_report", must_not_run)
-    monkeypatch.setattr(cli, "build_rooted", must_not_run)
+    monkeypatch.setattr(parking, "classification_report", must_not_run)
+    monkeypatch.setattr(graphs, "build_rooted", must_not_run)
     word = ",".join(["1"] * (cli.POLY_MAX_N + 1))
     for argv in (("check", word), ("check", word, "--trace"), ("burn", word, "--k", "all")):
         code, out, err = run(capsys, *argv)
@@ -479,6 +481,18 @@ OUTPUT_ARGVS = [
     ("graph", "--n", "7", "--k", "4", "--rooted", "--out"),
 ]
 
+#: The work the commands hand over to, each in its home module, where the
+#: command imports it from when it runs.
+WORK = [
+    (arrangement, "_leaves"),
+    (verify, "verify_gate"),
+    (verify, "count_sweep"),
+    (parking, "classification_report"),
+    (graphs, "build_rooted"),
+    (graphs, "build_gkn"),
+    (graphs, "dfs_burn"),
+]
+
 
 @pytest.mark.parametrize("argv", OUTPUT_ARGVS)
 def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
@@ -486,11 +500,8 @@ def test_unwritable_output_path_is_refused_before_any_work(tmp_path, capsys, mon
         raise AssertionError("work started before the output path was opened")
 
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
-    monkeypatch.setattr(cli, "_leaves", must_not_run)
-    monkeypatch.setattr(cli, "verify_gate", must_not_run)
-    monkeypatch.setattr(cli, "count_sweep", must_not_run)
-    for name in ("classification_report", "build_rooted", "build_gkn", "dfs_burn"):
-        monkeypatch.setattr(cli, name, must_not_run)
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, must_not_run)
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, *argv, str(target))
     assert (code, out) == (1, "")
@@ -504,11 +515,8 @@ def test_empty_output_path_is_refused_before_any_work(capsys, monkeypatch, argv)
         raise AssertionError("work started before the output path was opened")
 
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
-    for name in (
-        "_leaves", "verify_gate", "count_sweep", "classification_report",
-        "build_rooted", "build_gkn", "dfs_burn",
-    ):
-        monkeypatch.setattr(cli, name, must_not_run)
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, must_not_run)
     code, out, err = run(capsys, *argv, "")
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
@@ -559,7 +567,7 @@ def test_burn_writer_matches_json_dumps():
 def test_each_burn_report_is_written_before_the_next_k_burns(monkeypatch, trace):
     stream = io.StringIO()
     monkeypatch.setattr(sys, "stdout", stream)
-    burn = cli.dfs_burn
+    burn = graphs.dfs_burn
     done = []
 
     def spy(g, word):
@@ -572,7 +580,7 @@ def test_each_burn_report_is_written_before_the_next_k_burns(monkeypatch, trace)
         done.append((g.k, report.to_json()))
         return report
 
-    monkeypatch.setattr(cli, "dfs_burn", spy)
+    monkeypatch.setattr(graphs, "dfs_burn", spy)
     word = ",".join(map(str, range(12, 0, -1)))
     assert main([trace[0], word, "--k", "all", *trace[1:]]) == 0
     assert [k for k, _ in done] == sorted(range(2, 13), key=str)
@@ -689,3 +697,56 @@ def test_import_loads_neither_dataclasses_nor_typing():
         check=True,
     )
     assert done.stdout == "\n"
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # the package namespace is lazy and each command imports its modules when it runs
+    src = str(Path(shiish.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "SHIISH_MAX_N"}
+    report = "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'shiish'))"
+
+    def loaded(code: str) -> set[str]:
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys\n{code}\n{report}"],
+            env={**env, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return set(done.stdout.split())
+
+    start = {"shiish", "shiish.cli", "shiish.core"}
+    assert loaded("import shiish, shiish.cli\nshiish.cli.build_parser()") == start
+    every = start | {f"shiish.{m}" for m in ("arrangement", "graphs", "parking", "verify")}
+    runs = {
+        ("regions", "--n", "3", "--k", "3"): start | {"shiish.arrangement"},
+        ("check", "4213"): start | {"shiish.parking"},
+        ("check", "4213", "--trace"): start | {"shiish.parking", "shiish.graphs"},
+        ("burn", "4213"): start | {"shiish.graphs"},
+        ("graph", "--n", "4", "--k", "3"): start | {"shiish.graphs"},
+        ("graph", "--n", "4", "--k", "3", "--rooted"): start | {"shiish.graphs"},
+        ("verify", "--n-max", "3"): every,
+        ("count", "--n-max", "3"): every,
+    }
+    for argv, modules in runs.items():
+        code = (
+            "import contextlib, io, shiish, shiish.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = shiish.cli.main({list(argv)!r})\n"
+            "print(code)"
+        )
+        assert loaded(code) == modules | {"0"}, argv
+
+    # a bare import loads nothing else; a name or a module loads its home on first access
+    assert loaded("import shiish") == {"shiish"}
+    assert loaded("import shiish\nshiish.Word") == {"shiish", "shiish.core"}
+    assert loaded("import shiish\nshiish.arrangement.Region") == {
+        "shiish", "shiish.arrangement", "shiish.core"
+    }
+    namespace = {}
+    exec("from shiish import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(shiish.__all__)
+    assert len(shiish.__all__) == 43
+    assert set(shiish.__all__) <= set(dir(shiish))
+    with pytest.raises(AttributeError, match="module 'shiish' has no attribute 'nope'"):
+        shiish.nope
