@@ -84,13 +84,17 @@ def _check_ints(what: str, values, low: float = -inf, high: float = inf) -> None
 
 def _sequence(what: str, value, size: int | None = None) -> tuple:
     """`tuple(value)` for a Sequence, of `size` items when `size` is given;
-    anything else (a generator, a set or a byte string among them) is
+    anything else (a generator, a set, a str or a byte string among them) is
     refused with a ValueError naming it."""
     # tuple and list are tested first only for speed: they skip the slower checks.
-    # A byte string is a Sequence of ints, but not one that a structure holds.
+    # A byte string is a Sequence of ints and a str one of characters, but a
+    # structure holds neither: "" would pass as an empty container.
     if (
         not isinstance(value, (tuple, list))
-        and (not isinstance(value, Sequence) or isinstance(value, (bytes, bytearray, memoryview)))
+        and (
+            not isinstance(value, Sequence)
+            or isinstance(value, (str, bytes, bytearray, memoryview))
+        )
         or size not in (None, len(value))
     ):
         length = "" if size is None else f" of length {size}"

@@ -13,8 +13,6 @@ from functools import lru_cache
 from math import inf
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from shiish import (
     Label,
     MultiDiGraph,
@@ -109,24 +107,37 @@ def centre_by_subsets(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(result)
 
 
-def centre_oracle_masks(n: int) -> np.ndarray:
-    """Centre of every word of [n]^n at once, as bitmasks in lexicographic order.
+def centre_oracle_masks(n: int) -> bytes:
+    """Centre of every word of [n]^n at once, one bitmask byte per word in lexicographic order.
 
     The oracle is the same subset-union definition as `centre_by_subsets`,
-    vectorized over all n**n words so that n = 7 stays cheap.  Row r encodes
-    the centre of the r-th word in lexicographic order, bit i-1 for member i.
+    evaluated on all n**n words together so that n = 7 stays cheap: each
+    condition is one big int holding a 0/1 byte per word, so one AND tests
+    it on every word.  Byte r encodes the centre of the r-th word in
+    lexicographic order, bit i-1 for member i, so n must not exceed 8.
     """
-    total = n**n
-    words = (np.array(np.unravel_index(np.arange(total), (n,) * n)).T + 1).astype(np.int8)
-    member = np.zeros((total, n), dtype=bool)
+    # Column i holds entry i of every word, in lexicographic order.
+    columns = [
+        b"".join(bytes([v]) * n ** (n - i) for v in range(1, n + 1)) * n ** (i - 1)
+        for i in range(1, n + 1)
+    ]
+    # at_most[i - 1][j - 1]: byte r is 1 when entry i of the r-th word is <= j.
+    at_most = [
+        [
+            int.from_bytes(col.translate(bytes(v <= j for v in range(256))), "little")
+            for j in range(1, n + 1)
+        ]
+        for col in columns
+    ]
+    member = [0] * n
     for mask in range(1, 1 << n):
         subset = [i for i in range(n, 0, -1) if mask >> (i - 1) & 1]
-        valid = np.ones(total, dtype=bool)
+        valid = -1  # every bit set: no condition tested yet
         for j, i in enumerate(subset, start=1):
-            valid &= words[:, i - 1] <= j
+            valid &= at_most[i - 1][j - 1]
         for i in subset:
-            member[valid, i - 1] = True
-    return member @ (1 << np.arange(n, dtype=np.int64))
+            member[i - 1] |= valid
+    return sum(bits << i for i, bits in enumerate(member)).to_bytes(n**n, "little")
 
 
 def members_mask(members) -> int:

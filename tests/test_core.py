@@ -352,6 +352,15 @@ def test_every_structure_refuses_a_bool_a_float_or_an_out_of_range_int(build):
         pytest.param(lambda: Label(b"\x01"), "label", id="label-bytes"),
         pytest.param(lambda: Label(bytearray(b"\x01")), "label", id="label-bytearray"),
         pytest.param(lambda: Permutation(b"\x02\x01"), "permutation", id="permutation-bytes"),
+        # a str is a sequence of characters, and "" would pass as an empty container
+        pytest.param(lambda: MultiDiGraph(3, ""), "arcs", id="graph-str-arcs"),
+        pytest.param(lambda: Diagram(Permutation((2, 1)), ""), "arcs", id="diagram-str-arcs"),
+        pytest.param(lambda: ArrangementSpec(1, 1, ""), "hyperplanes", id="spec-str-hyperplanes"),
+        pytest.param(
+            lambda: RootedGraph(2, 2, ((2, 1), "", "")), "neighbor list", id="rooted-str-list"
+        ),
+        pytest.param(lambda: CentreResult(""), "centre members", id="centre-str"),
+        pytest.param(lambda: Permutation(""), "permutation", id="permutation-str"),
         pytest.param(lambda: Permutation(5), "permutation", id="permutation-int"),
         pytest.param(lambda: Label(5), "label", id="label-int"),
         pytest.param(lambda: CentreResult(5), "centre members", id="centre-int"),

@@ -8,7 +8,9 @@ import pytest
 from oracles import (
     all_words,
     centre_by_subsets,
+    centre_oracle_masks,
     is_k_partial_by_definition,
+    members_mask,
     run_parking,
     sigma_exists_bruteforce,
     witness_by_construction,
@@ -130,8 +132,12 @@ def test_centre_can_be_empty_or_singleton():
 
 def test_centre_greedy_equals_subset_union():
     for n in range(1, 6):
-        for a in all_words(n):
-            assert centre(a).members == centre_by_subsets(a.values)
+        masks = centre_oracle_masks(n)
+        for r, a in enumerate(all_words(n)):
+            by_subsets = centre_by_subsets(a.values)
+            assert centre(a).members == by_subsets
+            # the all-words oracle of the acceptance suite, against the scalar definition
+            assert masks[r] == members_mask(by_subsets)
 
 
 def test_centre_membership_helper():
