@@ -7,20 +7,23 @@ hyperplane.  Feasibility of the strict system is decided exactly on a
 difference-bound matrix (DBM) over scaled integers; an integer witness
 point falls out of the closure.  Each `ArrangementSpec` states once, in its
 side table, what each side of each hyperplane means to the search: its
-DBM edge at scale n + 1 and the label coordinate it raises, none on the
-base chamber's side.  Regions are enumerated by depth-first search over
-sign vectors, which reads that table, closes the DBM once per hyperplane
-that cuts a cell in two and reads every other side off the closure, the
-label carried down the search path; `label_from_description` labels a
-region a second, independent way.  Each chamber's witness is checked in
-integers (`_certify`, which reads the hyperplanes, not the edges) exactly
-once: `_leaves` certifies the search's chambers for the `regions` export
-and the verify gate, `Region` those of the list.
+DBM edge at scale n + 1 and the weight it adds to the label's rank, none
+on the base chamber's side.  Regions are enumerated by depth-first search
+over sign vectors, which reads that table, closes the DBM once per
+hyperplane that cuts a cell in two and reads every other side off the
+closure, the label's rank carried down the search path as one int;
+`_label_entries` and `_label_texts` decode it, and
+`label_from_description` labels a region a second, independent way.
+Each chamber's witness is checked in integers (`_certify`, which reads the
+hyperplanes, not the edges) exactly once: `_leaves` certifies the search's
+chambers for the `regions` export and the verify gate, `Region` those of
+the list.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import product
 from math import inf
 
 from .core import Label, Permutation, _check_ints, _excerpt, _Frozen, _sequence
@@ -49,7 +52,18 @@ class Hyperplane(_Frozen):
 
 
 class ArrangementSpec(_Frozen):
-    """Parameters (n, k) plus the canonical ordered hyperplane list."""
+    """Parameters (n, k) plus the canonical ordered hyperplane list.
+
+    A label is all-ones plus one for each hyperplane whose side differs from
+    the base chamber's, and each hyperplane raises one coordinate, so an
+    entry is at most 1 + the number of hyperplanes that raise its
+    coordinate.  The radix `_radix` is 1 + the largest such number, so the
+    rank of a label, its entries less one read as base-radix digits, most
+    significant first, is lossless for any list.  In the (n, k) family
+    coordinate i is raised by the n - i equalities (i, q) and the i - 1
+    offsets (p, i), so the radix is n and the rank is the label's rank in
+    [n]^n.
+    """
 
     _fields = ("n", "k", "hyperplanes")
 
@@ -89,14 +103,21 @@ class ArrangementSpec(_Frozen):
         # q - 1 -> p - 1 of weight c*scale - 1 (an edge u -> v of weight w
         # reads X_v - X_u <= w), and x_p - x_q > c the edge back of weight
         # -c*scale - 1.  Per hyperplane: that BELOW edge, the ABOVE weight, and
-        # the zero-based label coordinate each side raises, None on the base
-        # chamber's side.  Off the base chamber, BELOW an equality raises p
-        # and ABOVE an offset raises q.
+        # the rank weight radix**(n - 1 - i) of the zero-based label
+        # coordinate i each side raises, None on the base chamber's side.
+        # Off the base chamber, BELOW an equality raises p and ABOVE an
+        # offset raises q.
         scale = n + 1
+        raised = [hp.q - 1 if hp.c else hp.p - 1 for hp in hyperplanes]
+        raises = [0] * n
+        for i in raised:
+            raises[i] += 1
+        radix = 1 + max(raises)
+        weights = [radix**e for e in range(n - 1, -1, -1)]
         sides = tuple(
             (hp.q - 1, hp.p - 1, hp.c * scale - 1, -hp.c * scale - 1)
-            + ((None, hp.q - 1) if hp.c else (hp.p - 1, None))
-            for hp in hyperplanes
+            + ((None, weights[i]) if hp.c else (weights[i], None))
+            for hp, i in zip(hyperplanes, raised)
         )
         self._set(
             n=n,
@@ -107,6 +128,7 @@ class ArrangementSpec(_Frozen):
             _max_offset={(p, q): o[-1] for _, p, q, o in pairs if o},
             _scale=scale,
             _bounds=_bounds(hyperplanes, scale),
+            _radix=radix,
             _sides=sides,
         )
 
@@ -279,7 +301,7 @@ def base_region(spec: ArrangementSpec) -> Region:
 
 
 def _search(spec: ArrangementSpec) -> Iterator[tuple]:
-    """(signs, point, label, first) of every chamber, sorted by sign vector, by
+    """(signs, point, rank, first) of every chamber, sorted by sign vector, by
     depth-first sign search.
 
     The search decides the hyperplanes in index order, BELOW before ABOVE.
@@ -304,9 +326,11 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple]:
     `_leaves` or `Region` certifies.  The root's cut splits the
     unconstrained DBM for free, so a search with L >= 2 leaves runs
     `_tighten` L - 2 times.  The label, all-ones plus one increment per
-    side off the base chamber's, is carried down the path.  Edges and
-    increments are read off the spec's side table.  `first` is the first position whose sign differs from the
-    previous chamber's, 0 for the first chamber: a popped node's chamber
+    side off the base chamber's, is carried down the path as its rank
+    (`ArrangementSpec`), one int: the root's is 0, the all-ones label, and
+    each raising side adds its weight.  Edges and weights are read off the
+    spec's side table.  `first` is the first position whose sign differs
+    from the previous chamber's, 0 for the first chamber: a popped node's chamber
     shares every sign before its cut with the chamber just yielded, the last
     one of the cut's BELOW half.  No budget check: callers refuse an
     oversized n first.
@@ -315,12 +339,12 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple]:
     planes = spec._sides
     total = len(planes)
     signs = [BELOW] * total
-    # An explicit stack of (position, DBM, potential, pending edge, label);
+    # An explicit stack of (position, DBM, potential, pending edge, rank);
     # every pushed node is an ABOVE half, so its sign is written on pop.  The
     # root's pending edge is a zero self-loop, which every closed DBM implies.
-    stack = [(0, _unconstrained(n), [0] * n, 0, 0, 0, (1,) * n)]
+    stack = [(0, _unconstrained(n), [0] * n, 0, 0, 0, 0)]
     while stack:
-        pos, dbm, low, u, v, w, label = stack.pop()
+        pos, dbm, low, u, v, w, rank = stack.pop()
         first = pos - 1 if pos else 0
         if pos:
             signs[first] = ABOVE
@@ -346,42 +370,62 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple]:
                         low_u = low[u] + w
                         low = [m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)]
                         dbm = _tighten(dbm, u, v, w, b)
-                    above = label if bump_above is None else _bumped(label, bump_above)
+                    above = rank + bump_above if bump_above else rank
                     stack.append((pos + 1, dbm, low, b, a, w_above, above))
                     u, v, w = a, b, w_below
                     row_v = dbm[v]
                     side, bump = BELOW, bump_below
             signs[pos] = side
-            if bump is not None:
-                label = _bumped(label, bump)
+            if bump:
+                rank += bump
             pos += 1
         low_u = low[u] + w
         point = tuple([m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)])
-        yield tuple(signs), point, label, first
-
-
-def _bumped(label: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """`label` with coordinate i (zero-based) raised by one."""
-    return label[:i] + (label[i] + 1,) + label[i + 1 :]
+        yield tuple(signs), point, rank, first
 
 
 def _leaves(spec: ArrangementSpec) -> Iterator[tuple]:
-    """`_search`'s (signs, point, label, first) per chamber, each certified before it is yielded."""
+    """`_search`'s (signs, point, rank, first) per chamber, each certified before it is yielded."""
     for leaf in _search(spec):
         _certify(spec, leaf[0], leaf[1], spec._scale)
         yield leaf
+
+
+def _label_entries(spec: ArrangementSpec, rank: int) -> tuple[int, ...]:
+    """The entries of the label of rank `rank` (`ArrangementSpec`): its digits plus one."""
+    entries = []
+    for _ in range(spec.n):
+        rank, digit = divmod(rank, spec._radix)
+        entries.append(digit + 1)
+    return tuple(entries[::-1])
+
+
+def _label_texts(spec: ArrangementSpec, sep: str) -> tuple[int, list[str], list[str]]:
+    """(mod, heads, tails): the text of the label of rank r, its entries
+    joined by `sep`, is heads[r // mod] + tails[r % mod].
+
+    mod is radix**(n // 2); heads holds the first n - n // 2 entries
+    joined by `sep`, and tails the last n // 2, each led by `sep`.  The
+    `regions` writers build them once per run, so no label is decoded.
+    """
+    digits = [str(d) for d in range(1, spec._radix + 1)]
+    half = spec.n // 2
+    heads = [sep.join(t) for t in product(digits, repeat=spec.n - half)]
+    tails = ["".join(sep + d for d in t) for t in product(digits, repeat=half)]
+    return spec._radix**half, heads, tails
 
 
 def enumerate_regions(spec: ArrangementSpec) -> list[tuple[Region, Label]]:
     """All chambers with their labels, sorted by sign vector (`_search`).
 
     It reads the raw search, since the Region constructor certifies each
-    chamber.  Refused above the size budget.
+    chamber, and decodes each rank (`_label_entries`).  Refused above the
+    size budget.
     """
     check_budget(spec.n, "region enumeration")
     return [
-        (Region(spec, signs, point, spec._scale), Label(label))
-        for signs, point, label, _ in _search(spec)
+        (Region(spec, signs, point, spec._scale), Label(_label_entries(spec, rank)))
+        for signs, point, rank, _ in _search(spec)
     ]
 
 

@@ -6,7 +6,7 @@ files; nothing time- or host-dependent goes into an output.
 
 `regions`, `verify` and `count` sweep exponential spaces and refuse, before
 doing any work, an n above the size budget: the environment variable
-SHIISH_MAX_N, default 6.  `check`, `burn` and `graph` are polynomial, but
+SHIISH_MAX_N, default 7.  `check`, `burn` and `graph` are polynomial, but
 their work and output still grow as n^2 to n^3, so they refuse an n above a
 fixed cap of 300, whatever the budget.
 """
@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 # Each command imports the rest of the package when it runs, so it loads only what it uses.
-from .core import BudgetError, Word, _ascii_int, _excerpt, _label_text, check_budget, check_nk
+from .core import BudgetError, Word, _ascii_int, _excerpt, check_budget, check_nk
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,25 +86,24 @@ def _regions_json(spec, leaves: Iterable[tuple]) -> Iterator[str]:
     The description comes from one `_reader`, resumed at each leaf.  Each
     distinct entry, `H`, `I`, diagram and `w` is laid out once per call.
     """
-    from .arrangement import _kept_arcs, _reader, _sign_string
+    from .arrangement import _kept_arcs, _label_texts, _reader, _sign_string
 
     read = _reader(spec)
+    mod, heads, tails = _label_texts(spec, ",\n      ")
     row = _Formatted(lambda values: _json_ints(values, "        "))
     rows = _Formatted(lambda entries: _json_ints([row[e] for e in entries], "      "))
     w = _Formatted(lambda order: _json_ints(order, "      "))
-    record = (
-        '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": '
-        + _json_ints(["%d"] * spec.n, "      ")
-        + ',\n    "signs": "%s",\n    "w": %s\n  }'
-    )
+    record = '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": [\n      %s%s'
+    record += '\n    ],\n    "signs": "%s",\n    "w": %s\n  }'
     lead = "[\n  "
-    for signs, _, label, first in leaves:
+    for signs, _, r, first in leaves:
         order, windows, overflow = read(signs, first)
         yield lead + record % (
             rows[windows],
             rows[overflow],
             rows[_kept_arcs(order, windows)],
-            *label,
+            heads[r // mod],
+            tails[r % mod],
             _sign_string(signs),
             w[order],
         )
@@ -155,7 +154,7 @@ def _parse_ks(raw: str, n: int) -> list[int]:
 
 
 def cmd_regions(args) -> int:
-    from .arrangement import _leaves, _reader, _sign_string, build_arrangement
+    from .arrangement import _label_texts, _leaves, _reader, _sign_string, build_arrangement
 
     check_nk(args.n, args.k)
     check_budget(args.n, "region enumeration")
@@ -164,13 +163,16 @@ def cmd_regions(args) -> int:
         if args.format == "json":
             out.writelines(_regions_json(spec, _leaves(spec)))
         elif args.format == "csv":
-            out.writelines(",".join(map(str, label)) + "\n" for _, _, label, _ in _leaves(spec))
-        else:  # text
+            mod, heads, tails = _label_texts(spec, ",")
+            out.writelines(f"{heads[r // mod]}{tails[r % mod]}\n" for _, _, r, _ in _leaves(spec))
+        else:  # text, whose labels of entries in [1, n] are digits up to n = 9 (`Label.__str__`)
             read = _reader(spec)
             w = _Formatted(lambda order: "".join(map(str, order)))
+            mod, heads, tails = _label_texts(spec, "" if args.n <= 9 else ",")
             out.writelines(
-                f"{_sign_string(s)}  w={w[read(s, first)[0]]}  label={_label_text(label)}\n"
-                for s, _, label, first in _leaves(spec)
+                f"{_sign_string(s)}  w={w[read(s, first)[0]]}  label={heads[r // mod]}"
+                f"{tails[r % mod]}\n"
+                for s, _, r, first in _leaves(spec)
             )
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 #: Environment variable holding the size budget: the largest n swept exhaustively.
 ENV_MAX_N = "SHIISH_MAX_N"
-DEFAULT_MAX_N = 6
+DEFAULT_MAX_N = 7
 
 
 class BudgetError(ValueError):
@@ -31,7 +31,7 @@ class BudgetError(ValueError):
 
 
 def size_budget() -> int:
-    """The largest n for which exponential sweeps run: SHIISH_MAX_N, default 6.
+    """The largest n for which exponential sweeps run: SHIISH_MAX_N, default 7.
 
     It decides only what is refused: a sweep for n up to the budget runs
     every one of its checks, so no output depends on it.
@@ -265,8 +265,8 @@ class Label(_Frozen):
     """A vector of positive plain ints attached to a region.
 
     Labels of the arrangements handled here happen to stay within [1, n];
-    that stronger property is checked by the verification harness rather
-    than assumed by the type.
+    that stronger property is proved per spec by the radix
+    (`arrangement.ArrangementSpec`) rather than assumed by the type.
     """
 
     _fields = _compared = ("entries",)

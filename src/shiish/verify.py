@@ -7,7 +7,7 @@ witness-permutation words must coincide; their common size is
 count law as a machine-checkable report.
 
 Every sweep runs in this one process and is refused above the size budget
-(`SHIISH_MAX_N`, default 6; see `core.check_budget`).  The budget decides
+(`SHIISH_MAX_N`, default 7; see `core.check_budget`).  The budget decides
 only what is refused: every n it admits gets every check, so a report's
 content never depends on it.
 
@@ -32,18 +32,18 @@ A word of [n]^n is handled by its rank, its index in
 is a `bytearray(n**n)` holding 1 at the ranks of its words: counts are
 `.count(1)` and equal sets are equal bytes.  The region labels come
 straight off `arrangement._leaves`, which yields only chambers whose
-witnesses it has checked in integers, and no `Region` or `Label` is
-built; a label with an entry outside [1, n] has no rank and is kept apart
-as a tuple, so it still counts and still shows as a mismatch.  Rank order
-is the lexicographic order of the tuples, so mismatch samples decode the
-first differing ranks in sorted order.
+witnesses it has checked in integers, each label as its rank, and no
+`Region` or `Label` is built.  A spec whose radix is n ranks its labels in
+[n]^n, every entry in [1, n], so the gate refuses any other spec before
+it searches.  Rank order is the lexicographic order of the tuples, so
+mismatch samples decode the first differing ranks in sorted order.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import compress, islice, product
-from operator import gt, mul
+from operator import gt
 
 from .arrangement import _leaves, build_arrangement
 from .core import Word, _check_ints, _Frozen, check_budget, check_nk, compose
@@ -81,10 +81,9 @@ class EquivalenceReport(_Frozen):
         }
 
 
-#: The labels of one arrangement: the number of leaves, a bytearray over the
-#: ranks of [n]^n marking the labels, and the labels with an entry outside
-#: [1, n], which have no rank, as tuples.
-_Labels = tuple[int, bytearray, frozenset]
+#: The labels of one arrangement: the number of leaves and a bytearray over
+#: the ranks of [n]^n marking the labels.
+_Labels = tuple[int, bytearray]
 
 #: The arrangements whose labels the worked examples read (`_tables`).
 _EXAMPLES = ((3, 3), (4, 2), (4, 3), (4, 4))
@@ -96,19 +95,20 @@ def _words(n: int):
 
 
 def _region_labels(n: int, k: int) -> _Labels:
-    """The labels of the (n, k) arrangement, off the certified stream `_leaves`."""
-    weights = [n**e for e in range(n - 1, -1, -1)]
-    base = sum(weights)  # the rank offset of the all-ones word
+    """The labels of the (n, k) arrangement, off the certified stream `_leaves`.
+
+    The stream's ranks are ranks of [n]^n only in radix n, so a spec of any
+    other radix is refused with ValueError before the search.
+    """
+    spec = build_arrangement(n, k)
+    if spec._radix != n:
+        raise ValueError(f"the ({n}, {k}) arrangement has radix {spec._radix}, not n={n}")
     ranks = bytearray(n**n)
-    unranked = set()
     regions = 0
-    for _, _, label, _ in _leaves(build_arrangement(n, k)):
+    for _, _, rank, _ in _leaves(spec):
         regions += 1
-        if 1 <= min(label) and max(label) <= n:
-            ranks[sum(map(mul, label, weights)) - base] = 1
-        else:
-            unranked.add(label)
-    return regions, ranks, frozenset(unranked)
+        ranks[rank] = 1
+    return regions, ranks
 
 
 def _tail_orbits(n: int, k: int) -> list[tuple[tuple[int, ...], array]]:
@@ -188,11 +188,9 @@ def _orbit_words(n: int, k: int, orbits: list) -> int:
     return n ** (k - 1) * sum(len(offsets) for _, offsets in orbits)
 
 
-def _sample(n: int, have: bytearray, lack: bytearray, extra=()) -> list[list[int]]:
-    """The first 10 words, in lexicographic order, of `extra` and of the ranks
-    set in `have` but not in `lack`."""
-    differing = islice(compress(_words(n), map(gt, have, lack)), 10)
-    return [list(v) for v in sorted([*differing, *extra])[:10]]
+def _sample(n: int, have: bytearray, lack: bytearray) -> list[list[int]]:
+    """The first 10 words, in lexicographic order, of the ranks set in `have` but not in `lack`."""
+    return [list(v) for v in islice(compress(_words(n), map(gt, have, lack)), 10)]
 
 
 def cross_validate(n: int, k: int) -> EquivalenceReport:
@@ -210,18 +208,18 @@ def _cell(n: int, k: int, labels: _Labels) -> tuple[EquivalenceReport, tuple[int
     it is built, so besides the labels at most two word sets are alive at
     once: definition and sigma, which one orbit loop builds together.
     """
-    leaves, reference, unranked = labels
-    counts = {"labels": reference.count(1) + len(unranked)}
+    leaves, reference = labels
+    counts = {"labels": reference.count(1)}
     mismatches = []
 
     def compare(name: str, other: bytearray) -> None:
         counts[name] = other.count(1)
-        if other != reference or unranked:
+        if other != reference:
             mismatches.append(
                 {
                     "characterization": name,
                     "missing_from_labels": _sample(n, other, reference),
-                    "missing_from_other": _sample(n, reference, other, unranked),
+                    "missing_from_other": _sample(n, reference, other),
                 }
             )
 
@@ -248,8 +246,7 @@ def _tables(examples: dict[tuple[int, int], _Labels]) -> dict:
     """
 
     def label_strings(n: int, k: int) -> set[str]:
-        _, ranks, unranked = examples[n, k]
-        return {"".join(map(str, e)) for e in (*compress(_words(n), ranks), *unranked)}
+        return {"".join(map(str, e)) for e in compress(_words(n), examples[n, k][1])}
 
     checks = []
 

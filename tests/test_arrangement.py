@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     enumerate_regions_by_walls,
     feasible_by_bellman_ford,
     feasible_by_tightening,
+    increment_of,
     label_direct,
     search_by_sides,
     sides_by_definition,
@@ -35,7 +37,8 @@ from shiish import (
     region_record,
 )
 from shiish import arrangement
-from shiish.arrangement import ABOVE, BELOW, Region, _leaves, _reader, _search
+from shiish.arrangement import ABOVE, BELOW, Region, _label_entries, _leaves, _reader, _search
+from shiish.core import DEFAULT_MAX_N
 
 
 def _by_signs(spec):
@@ -252,7 +255,7 @@ def test_region_counts_small():
 def test_enumeration_budget(monkeypatch):
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
-        enumerate_regions(build_arrangement(7, 2))
+        enumerate_regions(build_arrangement(DEFAULT_MAX_N + 1, 2))
     monkeypatch.setenv("SHIISH_MAX_N", "3")
     with pytest.raises(BudgetError):
         enumerate_regions(build_arrangement(4, 2))
@@ -322,7 +325,8 @@ def test_walls_match_bellman_ford_flips(n, k):
 
 def test_arrangement_without_hyperplanes_has_one_region():
     spec = ArrangementSpec(3, 2, ())
-    assert list(_leaves(spec)) == [((), (0, 0, 0), (1, 1, 1), 0)]
+    assert spec._radix == 1
+    assert list(_leaves(spec)) == [((), (0, 0, 0), 0, 0)]
     ((region, label),) = enumerate_regions(spec)
     assert (region.signs, region.point, region.scale) == ((), (0, 0, 0), 4)
     assert label.entries == (1, 1, 1)
@@ -336,8 +340,9 @@ _SEARCH_CASES = [build_arrangement(*nk) for nk in _READER_CASES] + [ArrangementS
 
 @pytest.mark.parametrize("spec", _SEARCH_CASES, ids=lambda s: f"{s.n}-{s.k}-{len(s.hyperplanes)}")
 def test_search_matches_the_per_side_oracle(spec):
-    # (signs, point, label) of every leaf, in the same order
-    assert [leaf[:3] for leaf in _search(spec)] == list(search_by_sides(spec))
+    # (signs, point, label) of every leaf, in the same order, each rank decoded
+    leaves = [(signs, point, _label_entries(spec, r)) for signs, point, r, _ in _search(spec)]
+    assert leaves == list(search_by_sides(spec))
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(2, n + 1)])
@@ -395,13 +400,47 @@ _TABLE_CASES = [build_arrangement(n, k) for n in range(2, 9) for k in range(2, n
 
 
 def test_side_table_states_the_edge_and_increment_rules():
-    # the spec's one table against `edge_of`, `base_side_of` and `increment_of`
+    # the spec's one table against `edge_of`, `base_side_of` and `increment_of`:
+    # a side that raises coordinate i (zero-based) adds radix**(n - 1 - i) to the rank
     for spec in _TABLE_CASES:
+        n = spec.n
+        raises = Counter(increment_of(hp) for hp in spec.hyperplanes)
+        assert spec._radix == 1 + max(raises[i] for i in range(1, n + 1))
+
+        def weight(raised):
+            return None if raised is None else spec._radix ** (n - 1 - raised)
+
         assert len(spec._sides) == len(spec.hyperplanes)
         for row, (below, above) in zip(spec._sides, sides_by_definition(spec)):
-            u, v, w_below, bump_below = below
+            u, v, w_below, raised_below = below
             assert above[:2] == (v, u)  # the ABOVE edge runs back
-            assert row == (u, v, w_below, above[2], bump_below, above[3]), (spec.n, spec.k)
+            expected = (u, v, w_below, above[2], weight(raised_below), weight(above[3]))
+            assert row == expected, (spec.n, spec.k)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_family_specs_raise_each_coordinate_n_minus_one_times(n):
+    # coordinate i is raised by the n - i equalities (i, q) and the i - 1
+    # offsets (p, i), so every entry lies in [1, n] and the radix is n
+    for k in range(2, n + 1):
+        spec = build_arrangement(n, k)
+        equalities = Counter(increment_of(hp) for hp in spec.hyperplanes if hp.c == 0)
+        offsets = Counter(increment_of(hp) for hp in spec.hyperplanes if hp.c)
+        assert equalities == {i: n - i for i in range(1, n)}, k
+        assert offsets == {i: i - 1 for i in range(2, n + 1)}, k
+        assert spec._radix == n
+
+
+# x1 = x2 + c for c = 0..3: coordinate 2 is raised three times, so the radix is 4
+_WIDE = ArrangementSpec(2, 2, tuple(Hyperplane(1, 2, c) for c in range(4)))
+
+
+def test_a_list_of_radix_above_n_has_labels_with_entries_above_n():
+    assert _WIDE._radix == 4
+    pairs = enumerate_regions(_WIDE)
+    assert [label.entries for _, label in pairs] == [(2, 1), (1, 1), (1, 2), (1, 3), (1, 4)]
+    for region, label in pairs:
+        assert label_direct(_WIDE, region) == label
 
 
 def test_enumeration_leaves_no_reference_cycles():

@@ -25,6 +25,7 @@ from shiish import (
     verify,
 )
 from shiish.cli import main
+from shiish.core import DEFAULT_MAX_N
 
 
 def run(capsys, *argv):
@@ -61,12 +62,14 @@ def test_region_writer_matches_json_dumps(n, k):
 
 
 def test_region_writer_matches_json_dumps_off_the_family():
-    # a gap in a pair's offsets, pairs (1, 3) and (2, 3) absent, and no hyperplane at all
+    # a gap in a pair's offsets, pairs (1, 3) and (2, 3) absent, no hyperplane at
+    # all (radix 1), and x1 = x2 + c for c = 0..3, whose radix 4 lets an entry reach 4
     planes = build_arrangement(4, 3).hyperplanes
     for spec in (
         ArrangementSpec(4, 3, tuple(hp for hp in planes if hp != Hyperplane(1, 3, 1))),
         ArrangementSpec(3, 3, (Hyperplane(1, 2, 0), Hyperplane(1, 2, 1))),
         ArrangementSpec(3, 2, ()),
+        ArrangementSpec(2, 2, tuple(Hyperplane(1, 2, c) for c in range(4))),
     ):
         assert _writes_json_dumps(spec), spec
 
@@ -182,7 +185,7 @@ def test_verify_refuses_before_any_work(capsys, monkeypatch):
     # cmd_verify hands over to verify_gate, whose work runs in these helpers
     for name in ("_region_labels", "_tables", "_cell", "_counts"):
         monkeypatch.setattr(verify, name, must_not_run)
-    code, out, err = run(capsys, "verify", "--n-max", "7")
+    code, out, err = run(capsys, "verify", "--n-max", str(DEFAULT_MAX_N + 1))
     assert code == 2
     assert "refused" in err
     assert out == ""

@@ -42,6 +42,7 @@ from shiish import (
     size_budget,
     tree_to_word,
 )
+from shiish.core import DEFAULT_MAX_N
 from shiish.graphs import build_rooted
 from shiish.verify import cross_validate, verify_gate
 
@@ -205,10 +206,10 @@ def test_all_words_edges(monkeypatch):
 
 def test_size_budget_reads_the_environment(monkeypatch):
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
-    assert size_budget() == 6
-    check_budget(6, "sweep")
+    assert size_budget() == DEFAULT_MAX_N
+    check_budget(DEFAULT_MAX_N, "sweep")
     with pytest.raises(BudgetError, match="SHIISH_MAX_N"):
-        check_budget(7, "sweep")
+        check_budget(DEFAULT_MAX_N + 1, "sweep")
     monkeypatch.setenv("SHIISH_MAX_N", "3")
     assert size_budget() == 3
     with pytest.raises(BudgetError):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import weakref
 from collections import Counter
 
@@ -9,7 +10,9 @@ import pytest
 
 from oracles import all_words, word_sets_by_definition
 from shiish import (
+    ArrangementSpec,
     BudgetError,
+    Hyperplane,
     arrangement,
     build_arrangement,
     build_rooted,
@@ -23,6 +26,8 @@ from shiish import (
     verify,
 )
 from shiish.cli import main
+from shiish.arrangement import _label_entries
+from shiish.core import DEFAULT_MAX_N
 from shiish.graphs import _burning_ranks, _subset_ranks
 from shiish.verify import verify_gate
 
@@ -71,7 +76,7 @@ def test_cross_validate_runs_subsets_at_the_budget_itself(monkeypatch):
 def test_cross_validate_budget(monkeypatch):
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
-        cross_validate(7, 2)
+        cross_validate(DEFAULT_MAX_N + 1, 2)
     monkeypatch.setenv("SHIISH_MAX_N", "2")
     with pytest.raises(BudgetError):
         cross_validate(3, 2)
@@ -102,7 +107,7 @@ def test_count_sweep_values():
 def test_count_sweep_budget_and_region_cap(monkeypatch):
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
-        count_sweep(7)
+        count_sweep(DEFAULT_MAX_N + 1)
     # region counts are enumerated at the budget itself
     monkeypatch.setenv("SHIISH_MAX_N", "4")
     sweep = count_sweep(4)
@@ -241,10 +246,10 @@ def test_gate_keeps_no_cell_labels_past_their_cell(monkeypatch):
     region_labels, cell = verify._region_labels, verify._cell
 
     def marked(n, k):
-        regions, ranks, unranked = region_labels(n, k)
+        regions, ranks = region_labels(n, k)
         marks = Marks(ranks)
         alive[n, k] = weakref.ref(marks)
-        return regions, marks, unranked
+        return regions, marks
 
     order = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
     seen = []
@@ -307,7 +312,7 @@ def test_verify_gate_refuses_before_any_work(monkeypatch):
         monkeypatch.setattr(verify, name, must_not_run)
     monkeypatch.delenv("SHIISH_MAX_N", raising=False)
     with pytest.raises(BudgetError):
-        verify_gate(7)
+        verify_gate(DEFAULT_MAX_N + 1)
     with pytest.raises(ValueError):
         verify_gate(1)
     # the worked examples need n = 4
@@ -316,45 +321,50 @@ def test_verify_gate_refuses_before_any_work(monkeypatch):
         verify_gate(3)
 
 
+def rank_of(n, word):
+    """The rank of a word of [n]^n, its index in rank order."""
+    return sum((e - 1) * n ** (n - 1 - i) for i, e in enumerate(word))
+
+
 def patch_labels(monkeypatch, change):
-    """Route the gate's leaves through `change(n, index, label)`, a patched label bump."""
+    """Route the gate's leaves through `change(n, index, rank)`, a patched label rank."""
     leaves = verify._leaves
 
     def patched(spec):
-        for index, (signs, point, label, first) in enumerate(leaves(spec)):
-            yield signs, point, change(spec.n, index, label), first
+        for index, (signs, point, rank, first) in enumerate(leaves(spec)):
+            yield signs, point, change(spec.n, index, rank), first
 
     monkeypatch.setattr(verify, "_leaves", patched)
 
 
-@pytest.mark.parametrize("pos", [0, 1, 2])
-@pytest.mark.parametrize("shift", ["above", "zero"])
-def test_label_entry_outside_one_to_n_is_a_reported_mismatch(monkeypatch, pos, shift):
-    # an entry past n would index past the rank array or wrap onto another
-    # word, and an entry 0 would wrap through a negative index
+@pytest.mark.parametrize("leaf", [0, 5, 15])
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_a_wrong_rank_is_a_reported_mismatch(monkeypatch, end, leaf):
+    # one leaf of the 16 carries the rank of the first or the last word that is no label
     n = 3
-    labels = [label for _, _, label, _ in verify._leaves(build_arrangement(n, 3))]
-    original = labels[5]
-    entry = original[pos] + n if shift == "above" else 0
-    bad = original[:pos] + (entry,) + original[pos + 1 :]
-    patch_labels(monkeypatch, lambda n, i, label: bad if i == 5 else label)
+    spec = build_arrangement(n, 3)
+    ranks = [rank for _, _, rank, _ in verify._leaves(spec)]
+    original = _label_entries(spec, ranks[leaf])
+    others = sorted(set(itertools.product(range(1, n + 1), repeat=n)) - labels_of(n, 3))
+    wrong = others[0] if end == "first" else others[-1]
+    patch_labels(monkeypatch, lambda n, i, rank: rank_of(n, wrong) if i == leaf else rank)
     report = cross_validate(n, 3)
     assert report.passed is False
     assert report.counts["labels"] == 16
     assert [m["characterization"] for m in report.mismatches] == list(verify.CHARACTERIZATIONS[1:])
     for m in report.mismatches:
         assert m["missing_from_labels"] == [list(original)]
-        assert m["missing_from_other"] == [list(bad)]
+        assert m["missing_from_other"] == [list(wrong)]
 
 
-def test_extra_leaf_with_an_unranked_label_is_a_reported_mismatch(monkeypatch):
-    # every true label is still there, so only the unranked one differs
+def test_an_extra_leaf_with_a_wrong_rank_is_a_reported_mismatch(monkeypatch):
+    # every true label is still there, so only the extra one, the word 333, differs
     leaves = verify._leaves
 
     def extra(spec):
-        for signs, point, label, first in leaves(spec):
-            yield signs, point, label, first
-        yield signs, point, (spec.n + 1,) * spec.n, first
+        for signs, point, rank, first in leaves(spec):
+            yield signs, point, rank, first
+        yield signs, point, spec.n**spec.n - 1, first
 
     monkeypatch.setattr(verify, "_leaves", extra)
     report = cross_validate(3, 3)
@@ -362,17 +372,40 @@ def test_extra_leaf_with_an_unranked_label_is_a_reported_mismatch(monkeypatch):
     assert report.counts["labels"] == 17
     for m in report.mismatches:
         assert m["missing_from_labels"] == []
-        assert m["missing_from_other"] == [[4, 4, 4]]
+        assert m["missing_from_other"] == [[3, 3, 3]]
     assert len(report.mismatches) == 4
 
 
+def _widened(n, k):
+    """The (n, k) list plus x_(n-1) = x_n + n, which raises coordinate n n times: radix n + 1."""
+    return ArrangementSpec(n, k, (*build_arrangement(n, k).hyperplanes, Hyperplane(n - 1, n, n)))
+
+
+@pytest.mark.parametrize(
+    "patched, radix",
+    [(_widened, 4), (lambda n, k: ArrangementSpec(n, k, ()), 1)],
+    ids=["widened", "empty"],
+)
+def test_gate_refuses_a_spec_whose_radix_is_not_n(monkeypatch, capsys, patched, radix):
+    # its ranks are not ranks of [n]^n: radix n + 1 would index past the rank
+    # array or onto another word, and radix 1 ranks every label 0
+    monkeypatch.setattr(verify, "build_arrangement", patched)
+    message = f"the (3, 3) arrangement has radix {radix}, not n=3"
+    for sweep in (lambda: verify._region_labels(3, 3), lambda: cross_validate(3, 3)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep()
+    # the gate reads the (3, 3) labels first, for the worked examples
+    assert main(["verify", "--n-max", "4"]) == 1
+    assert capsys.readouterr()[:2] == ("", f"error: {message}\n")
+
+
 def test_duplicate_label_fails_the_cell_and_the_counts_stay_apart(monkeypatch):
-    # leaf 1 repeats leaf 0's label: 16 leaves, 15 distinct labels
+    # leaf 1 repeats leaf 0's rank: 16 leaves, 15 distinct labels
     first = {}
 
-    def duplicate(n, i, label):
-        first.setdefault(n, label)
-        return first[n] if i == 1 else label
+    def duplicate(n, i, rank):
+        first.setdefault(n, rank)
+        return first[n] if i == 1 else rank
 
     patch_labels(monkeypatch, duplicate)
     report = verify_gate(3)
@@ -431,10 +464,14 @@ def test_mismatch_samples_are_the_first_ten_sorted_tuples(monkeypatch):
     ]
     assert samples["subsets"]["missing_from_other"] == []
 
-    # an unranked label takes its sorted place among the samples
-    low = (0,) + min(labels)[1:]
-    patch_labels(monkeypatch, lambda n, i, label: low if label == max(labels) else label)
+    # a wrong rank takes its sorted place among the samples: the last label's
+    # leaf carries the rank of the first word that is no label
+    low, high = rank_of(n, min(words - labels)), rank_of(n, max(labels))
+    patch_labels(monkeypatch, lambda n, i, rank: low if rank == high else rank)
     report = cross_validate(n, k)
     samples = {m["characterization"]: m for m in report.mismatches}
-    patched = labels - {max(labels)} | {low}
+    patched = labels - {max(labels)} | {min(words - labels)}
     assert samples["sigma"]["missing_from_other"] == [list(t) for t in sorted(patched)[:10]]
+    assert samples["subsets"]["missing_from_labels"] == [
+        list(t) for t in sorted(words - patched)[:10]
+    ]
