@@ -475,14 +475,9 @@ def _reader(spec: ArrangementSpec):
     return read
 
 
-def _read(spec: ArrangementSpec, signs: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
-    """(order, windows, overflow) of one chamber: `_reader` started at pair 0."""
-    return _reader(spec)(signs, 0)
-
-
 def describe(region: Region) -> RegionDescription:
     """Read the coordinate order and per-pair difference windows off the region's signs."""
-    order, windows, overflow = _read(region.spec, region.signs)
+    order, windows, overflow = _reader(region.spec)(region.signs, 0)
     return RegionDescription(Permutation(order), frozenset(windows), frozenset(overflow))
 
 
@@ -535,7 +530,7 @@ def region_record(region: Region, label: Label) -> dict:
     """JSON-ready record of one region, for file export; its sequences are tuples."""
     spec = region.spec
     entries = _sequence("label", label.entries, spec.n)
-    order, windows, overflow = _read(spec, region.signs)
+    order, windows, overflow = _reader(spec)(region.signs, 0)
     return {
         "signs": _sign_string(region.signs),
         "w": order,

@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 # Each command imports the rest of the package when it runs, so it loads only what it uses.
-from .core import BudgetError, Word, _ascii_int, _excerpt, check_budget, check_nk
+from .core import BudgetError, Word, _ascii_int, _excerpt, _separator, check_budget, check_nk
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,10 +165,10 @@ def cmd_regions(args) -> int:
         elif args.format == "csv":
             mod, heads, tails = _label_texts(spec, ",")
             out.writelines(f"{heads[r // mod]}{tails[r % mod]}\n" for _, _, r, _ in _leaves(spec))
-        else:  # text, whose labels of entries in [1, n] are digits up to n = 9 (`Label.__str__`)
+        else:
             read = _reader(spec)
-            w = _Formatted(lambda order: "".join(map(str, order)))
-            mod, heads, tails = _label_texts(spec, "" if args.n <= 9 else ",")
+            mod, heads, tails = _label_texts(spec, sep := _separator(args.n))
+            w = _Formatted(lambda order: sep.join(map(str, order)))
             out.writelines(
                 f"{_sign_string(s)}  w={w[read(s, first)[0]]}  label={heads[r // mod]}"
                 f"{tails[r % mod]}\n"
@@ -242,15 +242,15 @@ def cmd_count(args) -> int:
         sweep = count_sweep(args.n_max)
         if args.format == "json":
             out.write(_dump_json(sweep))
-            return EXIT_OK
-        out.write(f"{'n':>3} {'k':>3} {'regions':>8} {'tail formula':>13} {'tail brute':>11} ok\n")
-        for cell in sweep["cells"]:
-            ok = "yes" if cell["regions_match"] and cell["tail_parkers_match"] else "NO"
-            out.write(
-                f"{cell['n']:>3} {cell['k']:>3} {cell['regions']:>8} "
-                f"{cell['tail_parkers_formula']:>13} {cell['tail_parkers_brute']:>11} {ok}\n"
-            )
-    return EXIT_OK
+        else:
+            out.write("  n   k  regions  tail formula  tail brute ok\n")
+            for cell in sweep["cells"]:
+                ok = "yes" if cell["regions_match"] and cell["tail_parkers_match"] else "NO"
+                out.write(
+                    f"{cell['n']:>3} {cell['k']:>3} {cell['regions']:>8} "
+                    f"{cell['tail_parkers_formula']:>13} {cell['tail_parkers_brute']:>11} {ok}\n"
+                )
+    return EXIT_OK if sweep["pass"] else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

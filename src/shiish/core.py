@@ -170,7 +170,7 @@ class _Frozen:
 
 
 class Word(_Frozen):
-    """An n-tuple whose entries are plain ints in [1, n]."""
+    """An n-tuple whose entries are plain ints in [1, n], written as `_joined` lays it out."""
 
     _fields = _compared = ("values",)
 
@@ -198,20 +198,18 @@ class Word(_Frozen):
         return len(self.values)
 
     def __str__(self) -> str:
-        return self.compact() or ",".join(map(str, self.values))
+        return _joined(self.values)
 
     def compact(self) -> str | None:
-        """Digit-string form such as "4213"; defined only for n <= 9."""
-        if self.n <= 9:
-            return "".join(map(str, self.values))
-        return None
+        """Digit-string form such as "4213"; None where `_separator` gives commas."""
+        return None if _separator(self.n) else _joined(self.values)
 
     def to_json(self) -> list[int]:
         return list(self.values)
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse a JSON array, a comma-separated list, or a digit string (n <= 9).
+        """Parse a JSON array, a comma-separated list, or a digit string (`_separator`).
 
         Parsing is lossless: JSON entries must be integers (not bools or
         floats) and every other entry ASCII digits.
@@ -237,7 +235,7 @@ class Word(_Frozen):
                 raise ValueError(message) from None
             return cls(tuple(values))
         if text.isascii() and text.isdigit():
-            if len(text) > 9:
+            if _separator(len(text)):
                 raise ValueError("digit-string input is only accepted for n <= 9")
             return cls(tuple(int(ch) for ch in text))
         raise ValueError(f"cannot parse a word from {_excerpt(text)}")
@@ -262,11 +260,10 @@ class Permutation(_Frozen):
 
 
 class Label(_Frozen):
-    """A vector of positive plain ints attached to a region.
+    """A vector of positive plain ints attached to a region, written as `_joined` lays it out.
 
-    Labels of the arrangements handled here happen to stay within [1, n];
-    that stronger property is proved per spec by the radix
-    (`arrangement.ArrangementSpec`) rather than assumed by the type.
+    Labels of the arrangements handled here happen to stay within [1, n]; that property
+    is proved per spec by the radix (`arrangement.ArrangementSpec`), not assumed by the type.
     """
 
     _fields = _compared = ("entries",)
@@ -283,15 +280,18 @@ class Label(_Frozen):
         return len(self.entries)
 
     def __str__(self) -> str:
-        return _label_text(self.entries)
+        return _joined(self.entries)
 
 
-def _label_text(entries: tuple[int, ...]) -> str:
-    """A label's text: its digits when it has at most 9 entries, each at most 9,
-    else its entries joined by commas."""
-    if len(entries) <= 9 and max(entries) <= 9:
-        return "".join(map(str, entries))
-    return ",".join(map(str, entries))
+def _separator(size: int) -> str:
+    """The one layout rule: a sequence of at most `size` entries, each at most `size`,
+    is written in bare digits ("") up to size 9, its entries joined by "," above."""
+    return "" if size <= 9 else ","
+
+
+def _joined(values: tuple[int, ...]) -> str:
+    """`values` as text, laid out by `_separator` for its length and largest entry."""
+    return _separator(max(len(values), *values)).join(map(str, values))
 
 
 def compose(a: Word, w: Permutation) -> Word:

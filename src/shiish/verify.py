@@ -46,7 +46,7 @@ from itertools import compress, islice, product
 from operator import gt
 
 from .arrangement import _leaves, build_arrangement
-from .core import Word, _check_ints, _Frozen, check_budget, check_nk, compose
+from .core import Word, _check_ints, _Frozen, _joined, check_budget, check_nk, compose
 from .graphs import _burning_ranks, _subset_ranks, build_rooted, dfs_burn
 from .parking import (
     _parks_tail,
@@ -246,7 +246,7 @@ def _tables(examples: dict[tuple[int, int], _Labels]) -> dict:
     """
 
     def label_strings(n: int, k: int) -> set[str]:
-        return {"".join(map(str, e)) for e in compress(_words(n), examples[n, k][1])}
+        return {_joined(e) for e in compress(_words(n), examples[n, k][1])}
 
     checks = []
 

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, determinism."""
 
 import io
+import itertools
 import json
 import os
 import random
@@ -430,6 +431,35 @@ def test_count_table(capsys):
     assert "240" in out  # n=4, k=3 tail parkers
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 1 + 2 + 3  # header + cells for n=2,3,4
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_exits_3_after_writing_a_failed_law(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(verify, "count_tail_parkers", lambda n, k: -1)
+    code, out, _ = run(capsys, "count", "--n-max", "3", "--format", fmt)
+    assert code == 3
+    if fmt == "json":
+        assert json.loads(out)["pass"] is False
+    else:
+        assert [line.split()[-1] for line in out.splitlines()] == ["ok", "NO", "NO", "NO"]
+
+
+def test_regions_text_writes_w_like_its_label_from_n_10(capsys, monkeypatch):
+    # both are comma lists there, so each line reads back: the first three regions
+    monkeypatch.setenv("SHIISH_MAX_N", "10")
+    leaves = arrangement._leaves
+    monkeypatch.setattr(arrangement, "_leaves", lambda spec: itertools.islice(leaves(spec), 3))
+    code, out, _ = run(capsys, "regions", "--n", "10", "--k", "2", "--format", "text")
+    assert code == 0
+    spec = build_arrangement(10, 2)
+    read = arrangement._reader(spec)
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for line, (signs, _, rank, first) in zip(lines, leaves(spec)):
+        sign_text, w, label = line.split("  ")
+        assert sign_text == arrangement._sign_string(signs)
+        assert w == "w=" + ",".join(map(str, read(signs, first)[0]))
+        assert label == "label=" + ",".join(map(str, arrangement._label_entries(spec, rank)))
 
 
 def test_verify_rejects_n_max_below_2(capsys):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import random
 import re
 
 import pytest
@@ -73,8 +74,9 @@ def test_word_parse_forms():
     assert Word.parse("4213").values == (4, 2, 1, 3)
     assert Word.parse("4,2,1,3").values == (4, 2, 1, 3)
     assert Word.parse("[4, 2, 1, 3]").values == (4, 2, 1, 3)
-    with pytest.raises(ValueError):
-        Word.parse("12345678910")  # digit strings stop at n = 9
+    for text in ("12345678910", "1234567891"):  # digit strings stop at n = 9
+        with pytest.raises(ValueError, match=r"^digit-string input is only accepted for n <= 9$"):
+            Word.parse(text)
     with pytest.raises(ValueError):
         Word.parse("not a word")
     assert Word.parse(" [1, 2] ").values == (1, 2)
@@ -126,6 +128,17 @@ def test_malformed_json_word_names_the_input(text):
 def test_json_entry_past_the_digit_limit_keeps_its_own_message():
     with pytest.raises(ValueError, match="has too many ASCII digits"):
         Word.parse("[" + "9" * 5000 + "]")
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_word_text_reads_back(n):
+    # digits up to n = 9, commas from n = 10 on, like the labels and the text export
+    rng = random.Random(20261022 + n)
+    for _ in range(20):
+        w = Word(tuple(rng.randint(1, n) for _ in range(n)))
+        assert Word.parse(str(w)) == w
+        assert ("," in str(w)) == (n >= 10)
+        assert w.compact() == (None if n >= 10 else str(w))
 
 
 def test_word_compact_and_json():
