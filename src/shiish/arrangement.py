@@ -7,7 +7,7 @@ hyperplane.  Feasibility of the strict system is decided exactly on a
 difference-bound matrix (DBM) over scaled integers; an integer witness
 point falls out of the closure.  Each `ArrangementSpec` states once, in its
 side table, what each side of each hyperplane means to the search: its
-DBM edge at scale n + 1 and the weight it adds to the label's rank, none
+DBM edge at scale n + 1 and the weight it adds to the label's rank, 0
 on the base chamber's side.  Regions are enumerated by depth-first search
 over sign vectors, which reads that table, closes the DBM once per
 hyperplane that cuts a cell in two and reads every other side off the
@@ -77,8 +77,9 @@ class ArrangementSpec(_Frozen):
         # first, then offsets c_1 < ... < c_m.  A chamber is ABOVE on the first
         # t hyperplanes of the slice and BELOW on the rest, so the count t
         # alone names the outcome.  Row t of the pair, read by `_reader`, is
-        # (winner, window or None, overflow or None): x_q wins at t = 0, x_p
-        # in window c_t for 1 <= t <= m, and x_p in overflow at t = m + 1.
+        # (winner, windows added, overflow added), each added tuple empty or
+        # of one entry: x_q wins at t = 0 and adds nothing, x_p in window c_t
+        # for 1 <= t <= m, and x_p in overflow at t = m + 1.
         # `_pair_of` maps each position, and one past the last, to its pair.
         pairs = []  # (start, p, q, offsets)
         prev = (0, 0, -1)
@@ -96,7 +97,7 @@ class ArrangementSpec(_Frozen):
             prev = (hp.p, hp.q, hp.c)
         slices, pair_of = [], []
         for index, (start, p, q, offsets) in enumerate(pairs):
-            rows = [(q, None, None)] + [(p, (p, q, c), None) for c in offsets] + [(p, None, (p, q))]
+            rows = [(q, (), ())] + [(p, ((p, q, c),), ()) for c in offsets] + [(p, (), ((p, q),))]
             slices.append((start, start + len(offsets) + 1, tuple(rows)))
             pair_of += [index] * (len(offsets) + 1)
         # The search's side table.  On X = scale*x, x_p - x_q < c is the edge
@@ -104,7 +105,7 @@ class ArrangementSpec(_Frozen):
         # reads X_v - X_u <= w), and x_p - x_q > c the edge back of weight
         # -c*scale - 1.  Per hyperplane: that BELOW edge, the ABOVE weight, and
         # the rank weight radix**(n - 1 - i) of the zero-based label
-        # coordinate i each side raises, None on the base chamber's side.
+        # coordinate i each side raises, 0 on the base chamber's side (weights are >= 1).
         # Off the base chamber, BELOW an equality raises p and ABOVE an
         # offset raises q.
         scale = n + 1
@@ -116,7 +117,7 @@ class ArrangementSpec(_Frozen):
         weights = [radix**e for e in range(n - 1, -1, -1)]
         sides = tuple(
             (hp.q - 1, hp.p - 1, hp.c * scale - 1, -hp.c * scale - 1)
-            + ((None, weights[i]) if hp.c else (weights[i], None))
+            + ((0, weights[i]) if hp.c else (weights[i], 0))
             for hp, i in zip(hyperplanes, raised)
         )
         self._set(
@@ -290,13 +291,13 @@ def _unconstrained(n: int) -> list[list]:
 def base_region(spec: ArrangementSpec) -> Region:
     """The chamber of the equally spaced point x_i = (n - i)/n.
 
-    Its sign on each hyperplane is the side that raises no label entry in
-    the side table.  All coordinates descend with gaps below one, so the
-    region lies above every equality hyperplane and below every offset
-    hyperplane, which the Region constructor checks against that point.
+    Its sign on each hyperplane is the side of weight 0 in the side table.
+    All coordinates descend with gaps below one, so the region lies above
+    every equality hyperplane and below every offset hyperplane, which the
+    Region constructor checks against that point.
     """
     n = spec.n
-    signs = tuple(BELOW if bump_below is None else ABOVE for *_, bump_below, _ in spec._sides)
+    signs = tuple(ABOVE if bump_below else BELOW for *_, bump_below, _ in spec._sides)
     return Region(spec, signs, tuple(range(n - 1, -1, -1)), n)
 
 
@@ -328,12 +329,12 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple]:
     `_tighten` L - 2 times.  The label, all-ones plus one increment per
     side off the base chamber's, is carried down the path as its rank
     (`ArrangementSpec`), one int: the root's is 0, the all-ones label, and
-    each raising side adds its weight.  Edges and weights are read off the
-    spec's side table.  `first` is the first position whose sign differs
-    from the previous chamber's, 0 for the first chamber: a popped node's chamber
-    shares every sign before its cut with the chamber just yielded, the last
-    one of the cut's BELOW half.  No budget check: callers refuse an
-    oversized n first.
+    each side adds its weight, 0 on the base chamber's side.  Edges and
+    weights are read off the spec's side table.  `first` is the first
+    position whose sign differs from the previous chamber's, 0 for the
+    first chamber: a popped node's chamber shares every sign before its cut
+    with the chamber just yielded, the last one of the cut's BELOW half.
+    No budget check: callers refuse an oversized n first.
     """
     n = spec.n
     planes = spec._sides
@@ -370,14 +371,12 @@ def _search(spec: ArrangementSpec) -> Iterator[tuple]:
                         low_u = low[u] + w
                         low = [m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)]
                         dbm = _tighten(dbm, u, v, w, b)
-                    above = rank + bump_above if bump_above else rank
-                    stack.append((pos + 1, dbm, low, b, a, w_above, above))
+                    stack.append((pos + 1, dbm, low, b, a, w_above, rank + bump_above))
                     u, v, w = a, b, w_below
                     row_v = dbm[v]
                     side, bump = BELOW, bump_below
             signs[pos] = side
-            if bump:
-                rank += bump
+            rank += bump
             pos += 1
         low_u = low[u] + w
         point = tuple([m if m <= low_u + d else low_u + d for m, d in zip(low, row_v)])
@@ -434,7 +433,7 @@ def _reader(spec: ArrangementSpec):
     resumable along `_search`.
 
     Each pair's outcome t is the count of ABOVE signs in its slice, and its
-    row t names the winner and the window or overflow entry it adds.  Per
+    row t names the winner and the windows and overflow entries it adds.  Per
     pair index i the reader keeps the windows and overflow of the pairs
     before i and the winner of pair i.  `read(signs, first)` re-reads only
     the pairs from the one holding position `first` on, so `signs` must
@@ -449,23 +448,19 @@ def _reader(spec: ArrangementSpec):
     slices = spec._slices
     pair_of = spec._pair_of
     winners = [0] * len(slices)
-    windows_at = [()] * (len(slices) + 1)
-    overflow_at = [()] * (len(slices) + 1)
+    prefixes = [((), ())] * (len(slices) + 1)
     coordinates = range(1, spec.n + 1)
     orders = {}  # per distinct winners tuple, its coordinate order
 
     def read(signs: tuple[int, ...], first: int) -> tuple:
         i = pair_of[first]
-        windows, overflow = windows_at[i], overflow_at[i]
+        windows, overflow = prefixes[i]
         for start, stop, rows in slices[i:]:
             winners[i], window, over = rows[signs[start:stop].count(ABOVE)]
+            windows += window
+            overflow += over
             i += 1
-            if window:
-                windows += (window,)
-            elif over:
-                overflow += (over,)
-            windows_at[i] = windows
-            overflow_at[i] = overflow
+            prefixes[i] = windows, overflow
         key = tuple(winners)
         order = orders.get(key)
         if order is None:

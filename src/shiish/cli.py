@@ -1,8 +1,9 @@
 """Command-line front end: enumeration, classification, burning, verification.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 budget
-refusal, 3 verification failure.  Identical invocations write byte-identical
-files; nothing time- or host-dependent goes into an output.
+refusal, 3 verification failure, and 141 (128 + SIGPIPE) with nothing on
+stderr when the reader closes stdout first.  Identical invocations write
+byte-identical files; nothing time- or host-dependent goes into an output.
 
 `regions`, `verify` and `count` sweep exponential spaces and refuse, before
 doing any work, an n above the size budget: the environment variable
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -313,10 +315,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's last flush
+        return code
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader closed stdout, which is no usage error: end as SIGPIPE
+        # would, 128 + 13, with the rest of the output sent nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

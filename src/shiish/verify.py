@@ -363,7 +363,7 @@ def _check_n_max(n_max: int, what: str) -> None:
 def _check_gate(n_max: int) -> None:
     """The refusals of `verify_gate`, which callers may also make before opening output."""
     _check_n_max(n_max, "verification")
-    check_budget(4, "worked-example replay")
+    check_budget(max(n for n, _ in _EXAMPLES), "worked-example replay")
 
 
 def verify_gate(n_max: int) -> dict:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    base_side_of,
     cuts_in_search_order,
     describe_by_pairs,
     draw_diagram_by_scan,
@@ -408,7 +409,7 @@ def test_side_table_states_the_edge_and_increment_rules():
         assert spec._radix == 1 + max(raises[i] for i in range(1, n + 1))
 
         def weight(raised):
-            return None if raised is None else spec._radix ** (n - 1 - raised)
+            return 0 if raised is None else spec._radix ** (n - 1 - raised)
 
         assert len(spec._sides) == len(spec.hyperplanes)
         for row, (below, above) in zip(spec._sides, sides_by_definition(spec)):
@@ -441,6 +442,14 @@ def test_a_list_of_radix_above_n_has_labels_with_entries_above_n():
     assert [label.entries for _, label in pairs] == [(2, 1), (1, 1), (1, 2), (1, 3), (1, 4)]
     for region, label in pairs:
         assert label_direct(_WIDE, region) == label
+
+
+@pytest.mark.parametrize(
+    "spec", [*_TABLE_CASES, _WIDE], ids=lambda s: f"{s.n}-{s.k}-{len(s.hyperplanes)}"
+)
+def test_base_region_takes_the_side_of_weight_zero_on_every_list(spec):
+    # outside the family too: the empty list, a list with a pair missing, a radix above n
+    assert base_region(spec).signs == tuple(base_side_of(hp, spec.n) for hp in spec.hyperplanes)
 
 
 def test_enumeration_leaves_no_reference_cycles():

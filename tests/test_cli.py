@@ -16,6 +16,7 @@ import shiish
 from shiish import (
     ArrangementSpec,
     Hyperplane,
+    Label,
     arrangement,
     build_arrangement,
     cli,
@@ -445,21 +446,62 @@ def test_count_exits_3_after_writing_a_failed_law(capsys, monkeypatch, fmt):
 
 
 def test_regions_text_writes_w_like_its_label_from_n_10(capsys, monkeypatch):
-    # both are comma lists there, so each line reads back: the first three regions
+    # both are comma lists there, so each line reads back: the first three regions;
+    # the json and csv exports of the same regions read the radix-10 label table too
     monkeypatch.setenv("SHIISH_MAX_N", "10")
     leaves = arrangement._leaves
     monkeypatch.setattr(arrangement, "_leaves", lambda spec: itertools.islice(leaves(spec), 3))
     code, out, _ = run(capsys, "regions", "--n", "10", "--k", "2", "--format", "text")
     assert code == 0
     spec = build_arrangement(10, 2)
+    first_three = list(itertools.islice(leaves(spec), 3))
     read = arrangement._reader(spec)
     lines = out.splitlines()
     assert len(lines) == 3
-    for line, (signs, _, rank, first) in zip(lines, leaves(spec)):
+    for line, (signs, _, rank, first) in zip(lines, first_three):
         sign_text, w, label = line.split("  ")
         assert sign_text == arrangement._sign_string(signs)
         assert w == "w=" + ",".join(map(str, read(signs, first)[0]))
         assert label == "label=" + ",".join(map(str, arrangement._label_entries(spec, rank)))
+    code, out, _ = run(capsys, "regions", "--n", "10", "--k", "2", "--format", "json")
+    assert code == 0
+    records = [
+        region_record(
+            arrangement.Region(spec, signs, point, spec._scale),
+            Label(arrangement._label_entries(spec, rank)),
+        )
+        for signs, point, rank, _ in first_three
+    ]
+    assert out == cli._dump_json(records)
+    code, out, _ = run(capsys, "regions", "--n", "10", "--k", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        ",".join(map(str, arrangement._label_entries(spec, rank))) for _, _, rank, _ in first_three
+    ]
+
+
+def test_a_closed_stdout_ends_a_command_quietly():
+    # a reader that stops early is no usage error: exit 128 + SIGPIPE, nothing on stderr;
+    # a short output, still buffered when the command returns, fails only at its flush
+    src = str(Path(shiish.__file__).parents[1])
+    drop = ("SHIISH_MAX_N", "PYTHONUNBUFFERED")
+    env = {name: value for name, value in os.environ.items() if name not in drop}
+    cases = {
+        ("regions", "--n", "6", "--k", "3", "--format", "text"): b"  w=654321  label=654321\n",
+        ("regions", "--n", "2", "--k", "2", "--format", "csv"): None,
+    }
+    for argv, first_line in cases.items():
+        with subprocess.Popen(
+            [sys.executable, "-m", "shiish.cli", *argv],
+            env={**env, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as producer:
+            if first_line:
+                assert producer.stdout.readline().endswith(first_line)
+            producer.stdout.close()
+            assert producer.wait(timeout=60) == 141, argv
+            assert producer.stderr.read() == b"", argv
 
 
 def test_verify_rejects_n_max_below_2(capsys):
