@@ -19,9 +19,10 @@ import contextlib
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cache
 
 # Each command imports the rest of the package when it runs, so it loads only what it uses.
-from .core import BudgetError, Word, _ascii_int, _excerpt, _separator, check_budget, check_nk
+from .core import BudgetError, Word, _ascii_int, _check_ints, _excerpt, check_budget, check_nk
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,17 +71,6 @@ def _json_ints(values, indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(map(str, values)) + f"\n{indent[:-2]}]"
 
 
-class _Formatted(dict):
-    """Each distinct key laid out once, by `layout`, on first lookup."""
-
-    def __init__(self, layout) -> None:
-        self.layout = layout
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self.layout(key)
-        return text
-
-
 def _regions_json(spec, leaves: Iterable[tuple]) -> Iterator[str]:
     """`_dump_json([region_record(...) ...])` in chunks, for `spec`'s `_leaves` in search order:
     the record schema is fixed, so this skips the pure-Python encoder that `indent` selects.
@@ -92,22 +82,22 @@ def _regions_json(spec, leaves: Iterable[tuple]) -> Iterator[str]:
 
     read = _reader(spec)
     mod, heads, tails = _label_texts(spec, ",\n      ")
-    row = _Formatted(lambda values: _json_ints(values, "        "))
-    rows = _Formatted(lambda entries: _json_ints([row[e] for e in entries], "      "))
-    w = _Formatted(lambda order: _json_ints(order, "      "))
+    row = cache(lambda values: _json_ints(values, "        "))
+    rows = cache(lambda entries: _json_ints([row(e) for e in entries], "      "))
+    w = cache(lambda order: _json_ints(order, "      "))
     record = '{\n    "H": %s,\n    "I": %s,\n    "diagram": %s,\n    "label": [\n      %s%s'
     record += '\n    ],\n    "signs": "%s",\n    "w": %s\n  }'
     lead = "[\n  "
     for signs, _, r, first in leaves:
         order, windows, overflow = read(signs, first)
         yield lead + record % (
-            rows[windows],
-            rows[overflow],
-            rows[_kept_arcs(order, windows)],
+            rows(windows),
+            rows(overflow),
+            rows(_kept_arcs(order, windows)),
             heads[r // mod],
             tails[r % mod],
             _sign_string(signs),
-            w[order],
+            w(order),
         )
         lead = ",\n  "
     yield "[]\n" if lead == "[\n  " else "\n]\n"
@@ -157,6 +147,7 @@ def _parse_ks(raw: str, n: int) -> list[int]:
 
 def cmd_regions(args) -> int:
     from .arrangement import _label_texts, _leaves, _reader, _sign_string, build_arrangement
+    from .core import _joined, _separator
 
     check_nk(args.n, args.k)
     check_budget(args.n, "region enumeration")
@@ -169,10 +160,10 @@ def cmd_regions(args) -> int:
             out.writelines(f"{heads[r // mod]}{tails[r % mod]}\n" for _, _, r, _ in _leaves(spec))
         else:
             read = _reader(spec)
-            mod, heads, tails = _label_texts(spec, sep := _separator(args.n))
-            w = _Formatted(lambda order: sep.join(map(str, order)))
+            mod, heads, tails = _label_texts(spec, _separator(args.n))
+            w = cache(_joined)
             out.writelines(
-                f"{_sign_string(s)}  w={w[read(s, first)[0]]}  label={heads[r // mod]}"
+                f"{_sign_string(s)}  w={w(read(s, first)[0])}  label={heads[r // mod]}"
                 f"{tails[r % mod]}\n"
                 for s, _, r, first in _leaves(spec)
             )
@@ -221,6 +212,7 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import _check_gate, verify_gate
 
+    _check_ints("--workers", (args.workers,), 1)
     _check_gate(args.n_max)
     with _opened(args.json) as report:
         merged = verify_gate(args.n_max)
@@ -295,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_option_int,
         default=1,
-        help="accepted and ignored: sweeps run in one process",
+        help="an int of at least 1, accepted and ignored: sweeps run in one process",
     )
     p_verify.set_defaults(func=cmd_verify)
 

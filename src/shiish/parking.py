@@ -77,11 +77,13 @@ def centre(a: Word) -> CentreResult:
     return CentreResult(tuple(_centre(a.values)))
 
 
-def _centre(vals: Sequence[int]) -> list[int]:
-    """`centre` over raw entries: the members, descending."""
+def _centre(vals: Sequence[int], count: int = 0) -> list[int]:
+    """`centre` over raw entries: the members, descending.  `count` centre
+    members already follow `vals`, so a scan over a longer word resumes here."""
     members = []
     for i in range(len(vals), 0, -1):
-        if vals[i - 1] <= len(members) + 1:
+        if vals[i - 1] <= count + 1:
+            count += 1
             members.append(i)
     return members
 

@@ -49,6 +49,7 @@ from .arrangement import _leaves, build_arrangement
 from .core import Word, _check_ints, _Frozen, _joined, check_budget, check_nk, compose
 from .graphs import _burning_ranks, _subset_ranks, build_rooted, dfs_burn
 from .parking import (
+    _centre,
     _parks_tail,
     _witness_holds,
     _witness_of,
@@ -128,15 +129,6 @@ def _tail_orbits(n: int, k: int) -> list[tuple[tuple[int, ...], array]]:
     return [(tail, offsets) for tail, offsets in orbits.items() if _parks_tail(head + tail, k)]
 
 
-def _centre_count(count: int, entries) -> int:
-    """The centre scan of `parking._centre` over `entries`, right to left, from
-    `count` members: the number of members after them."""
-    for v in reversed(entries):
-        if v <= count + 1:
-            count += 1
-    return count
-
-
 def _witness_sets(n: int, k: int, orbits: list) -> tuple[bytearray, bytearray]:
     """The definition and sigma sets of [n]^n, from the parking tail orbits.
 
@@ -155,10 +147,11 @@ def _witness_sets(n: int, k: int, orbits: list) -> tuple[bytearray, bytearray]:
     values there.  Those are tau's, because pi fixes [1, k - 1] and maps
     [k, n] onto itself.
 
-    The centre scan runs right to left, so it is shared as well: its count
-    c after the sorted tail is taken once per orbit, and its count d after
-    entries k - 1, ..., 2 once per head suffix and orbit.  Entry 1 is in
-    the centre exactly when a[1] <= d + 1, so definition holds a[1] = 1,
+    The centre scan `_centre` runs right to left, so it is shared as well:
+    its count c after the sorted tail is taken once per orbit, and its
+    count d after entries k - 1, ..., 2 once per head suffix and orbit, by
+    resuming the scan from c over the suffix.  Entry 1 is in the centre
+    exactly when a[1] <= d + 1, so definition holds a[1] = 1,
     ..., min(n, d + 1).  While entry 1 is in the centre, the centre Z does
     not depend on a[1], which the scan reads last, and neither does tau,
     which reads only Z and k; so the witness is taken once per suffix and
@@ -169,12 +162,12 @@ def _witness_sets(n: int, k: int, orbits: list) -> tuple[bytearray, bytearray]:
     block = n ** (n - k + 1)  # the words that share one head
     stride = n ** (n - 1)  # the words that share one first entry
     definition, sigma = bytearray(n**n), bytearray(n**n)
-    counted = [(tail, offsets, _centre_count(0, tail)) for tail, offsets in orbits]
+    counted = [(tail, offsets, len(_centre(tail))) for tail, offsets in orbits]
     for base, suffix in zip(range(0, stride, block), product(range(1, n + 1), repeat=k - 2)):
         for tail, offsets, count in counted:
             rest = (*suffix, *tail)
             images = _witness_of((1, *rest), k)
-            for a1 in range(1, min(n, _centre_count(count, suffix) + 1) + 1):
+            for a1 in range(1, min(n, count + len(_centre(suffix, count)) + 1) + 1):
                 holds = images is not None and _witness_holds((a1, *rest), k, images)
                 start = base + (a1 - 1) * stride
                 for offset in offsets:

@@ -223,6 +223,15 @@ def test_verify_workers_is_accepted_and_ignored(capsys):
     assert run(capsys, "verify", "--n-max", "3", "--workers", "4") == single
 
 
+def test_verify_refuses_zero_workers_before_opening_json(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    for argv in ((), ("--json", str(target))):
+        code, out, err = run(capsys, "verify", "--n-max", "3", "--workers", "0", *argv)
+        assert (code, out) == (1, "")
+        assert "--workers" in err
+    assert not target.exists()
+
+
 def test_regions_invalid_parameters(capsys):
     code, _, err = run(capsys, "regions", "--n", "4", "--k", "9")
     assert code == 1

@@ -138,6 +138,12 @@ def test_centre_greedy_equals_subset_union():
             assert centre(a).members == by_subsets
             # the all-words oracle of the acceptance suite, against the scalar definition
             assert masks[r] == members_mask(by_subsets)
+            # the scan resumed at every split j from the members after it
+            vals = a.values
+            for j in range(n + 1):
+                after = parking._centre(vals[j:])
+                shifted = [p + j for p in after]
+                assert parking._centre(vals) == shifted + parking._centre(vals[:j], len(after))
 
 
 def test_centre_membership_helper():
